@@ -503,13 +503,20 @@ fn scenario_list() -> Result<(), String> {
 
 /// `scenario check`: validates the whole corpus — parse errors, schema
 /// violations, stem/name mismatches, duplicate names and dangling
-/// machine references all fail the load with a path-prefixed message.
+/// machine references all fail the load with a path-prefixed message —
+/// then lowers every scenario onto its declared machine as a run would
+/// and validates the result, so a scenario the machine cannot run fails
+/// here rather than mid-run.
 fn scenario_check() -> Result<(), String> {
     let registry = load_registry()?;
     for name in registry.machine_names() {
         println!("ok  machine   {name}");
     }
     for name in registry.scenario_names() {
+        let config = registry.scenario(name).map_err(|e| e.to_string())?;
+        let machine = registry.machine_for(name).map_err(|e| e.to_string())?;
+        figures::registry::check_scenario(config, machine)
+            .map_err(|e| format!("{}: {e}", registry.path_of(name).display()))?;
         println!("ok  scenario  {name}");
     }
     println!(

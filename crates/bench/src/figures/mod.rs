@@ -23,8 +23,6 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod micro_engine;
-pub mod micro_sketch;
-pub mod micro_system;
 pub mod registry;
 pub mod scenarios;
 pub mod table01;
@@ -112,8 +110,6 @@ pub const ALL: &[Figure] = &[
     Figure { name: "registry", title: "Registry: corpus machines & scenarios validated end-to-end", run: registry::run },
     Figure { name: "differential", title: "Differential: staged pipeline vs serial reference over the full corpus", run: differential::run },
     Figure { name: "micro_engine", title: "Engine-loop micro-bench: throughput, batch invariance, allocations", run: micro_engine::run },
-    Figure { name: "micro_sketch", title: "Criterion micro-benchmarks: sketch pipeline", run: micro_sketch::run },
-    Figure { name: "micro_system", title: "Criterion micro-benchmarks: simulation substrates", run: micro_system::run },
 ];
 
 /// Looks a figure up by CLI name.
@@ -162,7 +158,7 @@ mod tests {
 
     #[test]
     fn registry_covers_all_bench_targets_uniquely() {
-        assert_eq!(ALL.len(), 20);
+        assert_eq!(ALL.len(), 18);
         let mut names: Vec<&str> = ALL.iter().map(|f| f.name).collect();
         names.sort_unstable();
         let before = names.len();

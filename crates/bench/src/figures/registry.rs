@@ -50,6 +50,22 @@ pub fn corpus_grid(
     grid
 }
 
+/// Lowers one corpus scenario onto its declared machine exactly as
+/// [`run_scenario`] does and validates the engine configuration without
+/// building generators, policies or machines: what `neomem-bench
+/// scenario check` runs for every scenario.
+///
+/// # Errors
+///
+/// Returns the error the run would fail with, e.g. a footprint larger
+/// than the machine or wider than its caches' tags.
+pub fn check_scenario(
+    config: &ScenarioConfig,
+    machine: Option<&MachineDescription>,
+) -> Result<(), neomem::Error> {
+    corpus_grid(config, machine, QUICK_BUDGET).validate_scenarios()
+}
+
 /// Runs one corpus scenario and distils the cell into the compact
 /// virtual-clock metrics object the figure payload carries.
 ///

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use neomem::prelude::*;
 use neomem::types::config::ConfigDoc;
 use neomem::workloads::ScenarioConfig;
+use neomem_bench::figures::registry::check_scenario;
 use neomem_runner::Registry;
 
 /// The checked-in corpus directory, independent of the test's cwd.
@@ -42,8 +43,53 @@ fn corpus_names_all_resolve_and_map_to_files() {
         assert_eq!(config.name, name, "stem/name invariant");
         // Machine references were validated at load; resolving again
         // must therefore never fail.
-        let _ = registry.machine_for(&name).expect("machine ref resolves");
+        let machine = registry.machine_for(&name).expect("machine ref resolves");
+        check_scenario(config, machine)
+            .unwrap_or_else(|e| panic!("corpus scenario {name} must fit its machine: {e}"));
     }
+}
+
+/// `scenario check` lowers every scenario onto its declared machine and
+/// validates it as the run path does, so scenarios the machine cannot
+/// run are rejected at check time, with the error the run would report.
+#[test]
+fn scenario_check_rejects_what_the_machine_cannot_run() {
+    let dir = std::env::temp_dir().join(format!("neomem-corpus-lowering-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = [
+        ("tiny", "schema = 1\nkind = machine\nname = tiny\n[memory]\nfast_pages = 16\ntotal_pages = 32\n"),
+        (
+            "crowded",
+            "schema = 1\nkind = scenario\nname = crowded\nmachine = tiny\n\
+             [tenant]\nworkload = gups\nrss_pages = 4096\nseed = 1\n",
+        ),
+        (
+            "vast",
+            "schema = 1\nkind = scenario\nname = vast\n\
+             [tenant]\nworkload = gups\nrss_pages = 4294967296\nseed = 1\n",
+        ),
+    ];
+    for (name, text) in files {
+        std::fs::write(dir.join(format!("{name}.cfg")), text).unwrap();
+    }
+    let registry = Registry::load(&dir).expect("the files parse and cross-reference");
+    let check = |name: &str| {
+        let machine = registry.machine_for(name).unwrap();
+        check_scenario(registry.scenario(name).unwrap(), machine).unwrap_err().to_string()
+    };
+    assert_eq!(
+        check("crowded"),
+        "invalid configuration: grid 'registry/crowded' cell 0 (crowded / NeoMem): invalid \
+         configuration: footprint of 4096 pages exceeds physical capacity 32"
+    );
+    assert_eq!(
+        check("vast"),
+        "invalid configuration: grid 'registry/vast' cell 0 (vast / NeoMem): invalid \
+         configuration: footprint of 4294967296 pages is too large for the l1 cache: its \
+         largest line tag 0x1ffffffff needs more than 31 bits"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Exact diagnostic text for invalid scenario files, end to end

@@ -80,6 +80,20 @@ impl HierarchyConfig {
         self.l2.validate()?;
         self.llc.validate()
     }
+
+    /// Checks that every line of a `rss_pages`-page footprint has a tag
+    /// each level's key lane can hold (31 bits). The geometry must
+    /// already be valid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`neomem_types::Error::InvalidConfig`] naming the first
+    /// level (`l1`, `l2` or `llc`) whose largest line tag is wider.
+    pub fn validate_footprint(&self, rss_pages: u64) -> Result<()> {
+        self.l1.validate_footprint("l1", rss_pages)?;
+        self.l2.validate_footprint("l2", rss_pages)?;
+        self.llc.validate_footprint("llc", rss_pages)
+    }
 }
 
 /// Aggregate statistics of the hierarchy.

@@ -1,16 +1,16 @@
 //! A single set-associative, write-back, write-allocate cache level.
 
 use neomem_types::json::{hex_from_u64s, Json};
-use neomem_types::{CacheLine, Error, Result};
+use neomem_types::{CacheLine, Error, Result, LINES_PER_PAGE};
 
-use crate::swar;
+use crate::swar::{self, with_ways, KEY_VALID, MAX_TAG, MAX_WAYS, RANK_DIRTY};
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Capacity in bytes. Must be `ways * line_size * 2^k` for integer `k`.
     pub capacity_bytes: u64,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set), at most 64.
     pub ways: usize,
     /// Line size in bytes (64 everywhere in this workspace).
     pub line_bytes: u64,
@@ -32,16 +32,42 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] unless the set count is a power of
-    /// two and every dimension is non-zero.
+    /// two, every dimension is non-zero and there are at most 64 ways.
     pub fn validate(&self) -> Result<()> {
         if self.ways == 0 || self.line_bytes == 0 || self.capacity_bytes == 0 {
             return Err(Error::invalid_config("cache dimensions must be non-zero"));
+        }
+        if self.ways > MAX_WAYS {
+            return Err(Error::invalid_config(format!(
+                "cache has {} ways, at most {MAX_WAYS} are supported",
+                self.ways
+            )));
         }
         if !self.capacity_bytes.is_multiple_of(self.ways as u64 * self.line_bytes) {
             return Err(Error::invalid_config("capacity must be a multiple of ways*line"));
         }
         if !self.sets().is_power_of_two() {
             return Err(Error::invalid_config("cache set count must be a power of two"));
+        }
+        Ok(())
+    }
+
+    /// Checks that every line of a `rss_pages`-page footprint has a tag
+    /// the key lane can hold (31 bits), naming the level as `level` in
+    /// the error. The geometry must already be valid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when the footprint's largest line
+    /// tag needs more than 31 bits.
+    pub(crate) fn validate_footprint(&self, level: &str, rss_pages: u64) -> Result<()> {
+        let last_line = rss_pages.saturating_mul(LINES_PER_PAGE).saturating_sub(1);
+        let tag = last_line >> self.sets().trailing_zeros();
+        if tag > MAX_TAG {
+            return Err(Error::invalid_config(format!(
+                "footprint of {rss_pages} pages is too large for the {level} cache: its \
+                 largest line tag {tag:#x} needs more than 31 bits"
+            )));
         }
         Ok(())
     }
@@ -70,17 +96,11 @@ impl CacheStats {
     }
 }
 
-/// Validity flag of a key-lane word. The payload below it is the line
-/// tag, so tag matching (validity + tag) is one `u64` compare and the
-/// miss path of a set scan touches only the key lane. Tags have
-/// `64 - set_bits` significant bits and real line indices sit far below
-/// 2^63; [`SetAssocCache::restore`] rejects anything wider.
-const KEY_VALID: u64 = 1 << 63;
-/// Dirty flag of a meta-lane word.
+/// Wire-format bits of a snapshot meta word: valid (bit 63), dirty
+/// (bit 62), and the recency stamp below them.
+const META_VALID: u64 = 1 << 63;
 const META_DIRTY: u64 = 1 << 62;
-/// Low bits of a meta-lane word: the LRU timestamp. 62 tick bits
-/// overflow after ~4.6e18 probes, far beyond any simulated run.
-const META_TICK_MASK: u64 = META_DIRTY - 1;
+const META_STAMP_MASK: u64 = META_DIRTY - 1;
 
 /// One set-associative cache level with true-LRU replacement.
 ///
@@ -89,25 +109,24 @@ const META_TICK_MASK: u64 = META_DIRTY - 1;
 /// evicting a dirty line surfaces a writeback the caller must forward to
 /// the next level (or to memory, for the LLC).
 ///
-/// Ways are structure-of-arrays: a key lane (`valid | tag` in one word)
-/// the probe loop scans contiguously, and a meta lane (dirty flag + LRU
-/// timestamp) touched only on hits and fills. A probe miss — the common
-/// case in every level below a thrashing working set — therefore reads
-/// half the bytes the old interleaved `{tag, meta}` pairs did.
+/// Ways are structure-of-arrays: a `u32` key lane (`valid | tag`) the
+/// probe scans contiguously, and a `u8` rank lane (dirty flag + recency
+/// rank, a permutation of `0..ways` per set) touched only on hits and
+/// fills. Five bytes per way keep a 16-way set's keys in one 64-byte
+/// host line.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// `KEY_VALID | tag` per way; a word without the valid bit never
     /// matches a probe.
-    keys: Vec<u64>,
-    /// `dirty | tick` per way, parallel to `keys`.
-    metas: Vec<u64>,
+    keys: Vec<u32>,
+    /// `RANK_DIRTY | rank` per way, parallel to `keys`. Invalid ways are
+    /// never dirty.
+    ranks: Vec<u8>,
     set_mask: u64,
     /// Bits of the set index — cached at construction so the hot
     /// probe/fill/writeback paths never recount mask bits.
     set_bits: u32,
-    set_shift_ways: usize,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -134,11 +153,9 @@ impl SetAssocCache {
         Self {
             config,
             keys: vec![0; sets * config.ways],
-            metas: vec![0; sets * config.ways],
+            ranks: swar::identity_ranks(sets, config.ways),
             set_mask: sets as u64 - 1,
             set_bits: (sets as u64).trailing_zeros(),
-            set_shift_ways: config.ways,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -153,199 +170,124 @@ impl SetAssocCache {
         self.stats
     }
 
-    #[inline]
-    fn set_range(&self, line: CacheLine) -> (usize, u64) {
-        let set = (line.index() & self.set_mask) as usize;
+    /// First way of `line`'s set, its set index and its probe key.
+    #[inline(always)]
+    fn locate(&self, line: CacheLine, ways: usize) -> (usize, u64, u32) {
+        let set = line.index() & self.set_mask;
         let tag = line.index() >> self.set_bits;
-        (set * self.set_shift_ways, tag)
+        debug_assert!(tag <= MAX_TAG, "line {line:?} exceeds the 31-bit tag");
+        (set as usize * ways, set, KEY_VALID | tag as u32)
     }
 
     /// Probes for `line`; on hit, refreshes LRU and applies `dirty`.
     /// Does **not** allocate on miss — pair with [`fill`](Self::fill).
-    ///
-    /// Dispatches once on the way count so the common geometries run a
-    /// fully monomorphic body: fixed-width lane arrays, unrolled scans,
-    /// no per-kernel width re-dispatch.
     #[inline]
     pub fn probe(&mut self, line: CacheLine, dirty: bool) -> bool {
-        match self.config.ways {
-            2 => self.probe_w::<2>(line, dirty),
-            4 => self.probe_w::<4>(line, dirty),
-            8 => self.probe_w::<8>(line, dirty),
-            16 => self.probe_w::<16>(line, dirty),
-            _ => self.probe_any(line, dirty),
-        }
+        with_ways!(self.config.ways, ways => self.probe_in(ways, line, dirty))
     }
 
     #[inline(always)]
-    fn probe_w<const N: usize>(&mut self, line: CacheLine, dirty: bool) -> bool {
-        self.tick += 1;
-        let set = (line.index() & self.set_mask) as usize;
-        let tag = line.index() >> self.set_bits;
-        let base = set * N;
-        let key = KEY_VALID | tag;
-        // Branch-free whole-set scan; at most one way can match. The
-        // slice length is the const width, so the kernel's width
-        // dispatch folds away.
-        if let Some(i) = swar::scan_hit(&self.keys[base..base + N], key) {
-            // Refresh the timestamp, keep (or set) the dirty bit.
-            let meta = &mut self.metas[base + i];
-            *meta = (*meta & META_DIRTY) | (if dirty { META_DIRTY } else { 0 }) | self.tick;
-            self.stats.hits += 1;
-            return true;
+    fn probe_in(&mut self, ways: usize, line: CacheLine, dirty: bool) -> bool {
+        let (base, _, key) = self.locate(line, ways);
+        let (hit, _) = swar::scan_set(&self.keys[base..base + ways], key);
+        match hit {
+            Some(way) => {
+                self.hit(base, ways, way, dirty);
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
         }
-        self.stats.misses += 1;
-        false
     }
 
-    /// Width-generic probe for uncommon geometries; scan-equivalent to
-    /// the monomorphic bodies.
-    fn probe_any(&mut self, line: CacheLine, dirty: bool) -> bool {
-        self.tick += 1;
-        let (base, tag) = self.set_range(line);
-        let key = KEY_VALID | tag;
-        let ways = self.config.ways;
-        if let Some(i) = self.keys[base..base + ways].iter().position(|k| *k == key) {
-            let meta = &mut self.metas[base + i];
-            *meta = (*meta & META_DIRTY) | (if dirty { META_DIRTY } else { 0 }) | self.tick;
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        false
+    /// Hit tail: moves the way to most recently used and ORs in `dirty`.
+    #[inline(always)]
+    fn hit(&mut self, base: usize, ways: usize, way: usize, dirty: bool) {
+        let ranks = &mut self.ranks[base..base + ways];
+        let flag = (ranks[way] & RANK_DIRTY) | if dirty { RANK_DIRTY } else { 0 };
+        swar::touch(ranks, way, flag);
+        self.stats.hits += 1;
     }
 
     /// Inserts `line` (after a miss), evicting the LRU way of its set.
     /// Returns the dirty victim, if any.
     #[inline]
     pub fn fill(&mut self, line: CacheLine, dirty: bool) -> Option<CacheLine> {
-        match self.config.ways {
-            2 => self.fill_w::<2>(line, dirty),
-            4 => self.fill_w::<4>(line, dirty),
-            8 => self.fill_w::<8>(line, dirty),
-            16 => self.fill_w::<16>(line, dirty),
-            _ => self.fill_any(line, dirty),
-        }
+        with_ways!(self.config.ways, ways => {
+            let (base, set, key) = self.locate(line, ways);
+            let (_, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
+            self.replace(base, ways, set, invalid, key, dirty)
+        })
     }
 
+    /// Shared fill tail: picks the victim (first invalid way, else LRU),
+    /// evicts it (counting a dirty writeback and reconstructing its line
+    /// address) and installs `key` as the most recently used way.
     #[inline(always)]
-    fn fill_w<const N: usize>(&mut self, line: CacheLine, dirty: bool) -> Option<CacheLine> {
-        self.tick += 1;
-        let set_index = line.index() & self.set_mask;
-        let tag = line.index() >> self.set_bits;
-        let base = set_index as usize * N;
-        // Prefer an invalid way; otherwise evict true-LRU.
-        let victim = base
-            + swar::select_victim(
-                &self.keys[base..base + N],
-                &self.metas[base..base + N],
-                META_TICK_MASK,
-            );
-        self.replace(victim, tag, set_index, dirty)
-    }
-
-    /// Width-generic fill for uncommon geometries.
-    fn fill_any(&mut self, line: CacheLine, dirty: bool) -> Option<CacheLine> {
-        self.tick += 1;
-        let (base, tag) = self.set_range(line);
-        let ways = self.config.ways;
-        let set_index = line.index() & self.set_mask;
-        let victim = base
-            + swar::select_victim(
-                &self.keys[base..base + ways],
-                &self.metas[base..base + ways],
-                META_TICK_MASK,
-            );
-        self.replace(victim, tag, set_index, dirty)
-    }
-
-    /// Shared fill tail: evicts `victim` (counting a dirty writeback and
-    /// reconstructing its line address) and installs the new tag.
-    #[inline(always)]
-    fn replace(&mut self, victim: usize, tag: u64, set_index: u64, dirty: bool) -> Option<CacheLine> {
-        let evicted = if self.keys[victim] & KEY_VALID != 0 && self.metas[victim] & META_DIRTY != 0
-        {
+    fn replace(
+        &mut self,
+        base: usize,
+        ways: usize,
+        set: u64,
+        invalid: u64,
+        key: u32,
+        dirty: bool,
+    ) -> Option<CacheLine> {
+        let ranks = &mut self.ranks[base..base + ways];
+        let way = swar::victim(invalid, ranks);
+        let evicted = if ranks[way] & RANK_DIRTY != 0 {
             self.stats.writebacks += 1;
-            Some(CacheLine::new(((self.keys[victim] & !KEY_VALID) << self.set_bits) | set_index))
+            let tag = u64::from(self.keys[base + way] & !KEY_VALID);
+            Some(CacheLine::new((tag << self.set_bits) | set))
         } else {
             None
         };
-        self.keys[victim] = KEY_VALID | tag;
-        self.metas[victim] = if dirty { META_DIRTY } else { 0 } | self.tick;
+        swar::touch(ranks, way, if dirty { RANK_DIRTY } else { 0 });
+        self.keys[base + way] = key;
         evicted
     }
 
-    /// Fused probe-or-fill: bit-identical to `probe` followed (on miss)
-    /// by `fill` — same stats, same double tick bump, same victim — but
-    /// the key lane is swept once, yielding the hit way and the
-    /// invalid-way mask together, so the miss path goes straight to LRU
-    /// selection over the meta lane.
+    /// Fused probe-or-fill: identical to `probe` followed (on miss) by
+    /// `fill` — same stats, same victim — but the key lane is swept
+    /// once, yielding the hit way and the invalid-way mask together.
     #[inline]
     pub fn access(&mut self, line: CacheLine, dirty: bool) -> LevelOutcome {
-        match self.config.ways {
-            2 => self.access_w::<2>(line, dirty),
-            4 => self.access_w::<4>(line, dirty),
-            8 => self.access_w::<8>(line, dirty),
-            16 => self.access_w::<16>(line, dirty),
-            _ => {
-                if self.probe_any(line, dirty) {
-                    LevelOutcome { hit: true, writeback: None }
-                } else {
-                    let writeback = self.fill_any(line, dirty);
-                    LevelOutcome { hit: false, writeback }
-                }
-            }
-        }
+        with_ways!(self.config.ways, ways => self.access_in(ways, line, dirty))
     }
 
     #[inline(always)]
-    fn access_w<const N: usize>(&mut self, line: CacheLine, dirty: bool) -> LevelOutcome {
-        self.tick += 1;
-        let set_index = line.index() & self.set_mask;
-        let tag = line.index() >> self.set_bits;
-        let base = set_index as usize * N;
-        let key = KEY_VALID | tag;
-        let (hit, invalid) = swar::scan_set(&self.keys[base..base + N], key);
-        if let Some(i) = hit {
-            let meta = &mut self.metas[base + i];
-            *meta = (*meta & META_DIRTY) | (if dirty { META_DIRTY } else { 0 }) | self.tick;
-            self.stats.hits += 1;
+    fn access_in(&mut self, ways: usize, line: CacheLine, dirty: bool) -> LevelOutcome {
+        let (base, set, key) = self.locate(line, ways);
+        let (hit, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
+        if let Some(way) = hit {
+            self.hit(base, ways, way, dirty);
             return LevelOutcome { hit: true, writeback: None };
         }
         self.stats.misses += 1;
-        // Fill half, with its own tick bump exactly as `fill` takes.
-        self.tick += 1;
-        let victim = base
-            + if invalid != 0 {
-                invalid.trailing_zeros() as usize
-            } else {
-                swar::lru_way(&self.metas[base..base + N], META_TICK_MASK)
-            };
-        let writeback = self.replace(victim, tag, set_index, dirty);
+        let writeback = self.replace(base, ways, set, invalid, key, dirty);
         LevelOutcome { hit: false, writeback }
     }
 
     /// Invalidates `line` if present; returns `true` if it was dirty.
+    /// The way keeps its rank, so the set's ranks stay a permutation.
     pub fn invalidate(&mut self, line: CacheLine) -> bool {
-        let (base, tag) = self.set_range(line);
-        let key = KEY_VALID | tag;
-        for i in base..base + self.config.ways {
-            if self.keys[i] == key {
-                let was_dirty = self.metas[i] & META_DIRTY != 0;
-                self.keys[i] = 0;
-                self.metas[i] = 0;
-                return was_dirty;
-            }
-        }
-        false
+        let ways = self.config.ways;
+        let (base, _, key) = self.locate(line, ways);
+        let Some(way) = swar::scan_set(&self.keys[base..base + ways], key).0 else {
+            return false;
+        };
+        let rank = &mut self.ranks[base + way];
+        let was_dirty = *rank & RANK_DIRTY != 0;
+        *rank &= !RANK_DIRTY;
+        self.keys[base + way] = 0;
+        was_dirty
     }
 
     /// Drops all contents and statistics.
     pub fn reset(&mut self) {
-        self.keys.fill(0);
-        self.metas.fill(0);
-        self.tick = 0;
-        self.stats = CacheStats::default();
+        *self = Self::new(self.config);
     }
 
     /// Number of currently valid lines (diagnostics).
@@ -353,22 +295,30 @@ impl SetAssocCache {
         self.keys.iter().filter(|k| **k & KEY_VALID != 0).count()
     }
 
-    /// Serialises the tag array (tags + packed metadata words), LRU tick
-    /// and counters for a machine snapshot.
+    /// Serialises the tag array, packed metadata words and counters for a
+    /// machine snapshot.
+    ///
+    /// The wire format predates the rank lane: one word per way with
+    /// valid (bit 63) | dirty (bit 62) | recency stamp, plus a `tick`
+    /// above every stamp. Stamps are written as `ways - rank` with
+    /// `tick = ways`, which orders ways exactly as the per-access ticks
+    /// this format once carried did.
     pub fn snapshot(&self) -> Json {
-        let tags: Vec<u64> = self.keys.iter().map(|k| k & !KEY_VALID).collect();
-        // The wire format predates the split lanes: one packed word per
-        // way with valid (bit 63) | dirty (bit 62) | tick.
-        let metas: Vec<u64> = self
-            .keys
-            .iter()
-            .zip(&self.metas)
-            .map(|(k, m)| (k & KEY_VALID) | m)
-            .collect();
+        let tags: Vec<u64> = self.keys.iter().map(|k| u64::from(k & !KEY_VALID)).collect();
+        let mut metas = Vec::with_capacity(self.keys.len());
+        for (keys, ranks) in
+            self.keys.chunks_exact(self.config.ways).zip(self.ranks.chunks_exact(self.config.ways))
+        {
+            for ((k, r), stamp) in keys.iter().zip(ranks).zip(swar::stamps(ranks)) {
+                let valid = if k & KEY_VALID != 0 { META_VALID } else { 0 };
+                let dirty = if r & RANK_DIRTY != 0 { META_DIRTY } else { 0 };
+                metas.push(valid | dirty | stamp);
+            }
+        }
         Json::obj([
             ("tags", Json::Str(hex_from_u64s(&tags))),
             ("metas", Json::Str(hex_from_u64s(&metas))),
-            ("tick", Json::U64(self.tick)),
+            ("tick", Json::U64(self.config.ways as u64)),
             ("hits", Json::U64(self.stats.hits)),
             ("misses", Json::U64(self.stats.misses)),
             ("writebacks", Json::U64(self.stats.writebacks)),
@@ -376,13 +326,15 @@ impl SetAssocCache {
     }
 
     /// Restores [`SetAssocCache::snapshot`] state onto a cache with the
-    /// same geometry.
+    /// same geometry. Each set's ranks follow its stamps in descending
+    /// order, ties going to the later way, so snapshots whose stamps are
+    /// sparse per-access ticks restore to the same replacement order.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] on missing/malformed fields, a tag
-    /// array sized for a different geometry, or a tag wide enough to
-    /// collide with the key lane's valid bit.
+    /// array sized for a different geometry, or a tag wider than the key
+    /// lane's 31 bits.
     pub fn restore(&mut self, snap: &Json) -> Result<()> {
         let tags = snap.req_u64s("tags")?;
         let metas = snap.req_u64s("metas")?;
@@ -393,18 +345,29 @@ impl SetAssocCache {
                 self.keys.len()
             )));
         }
-        if let Some(tag) = tags.iter().find(|t| **t & KEY_VALID != 0) {
+        if let Some(tag) = tags.iter().find(|t| **t > MAX_TAG) {
             return Err(Error::snapshot(format!("cache tag {tag:#x} exceeds the key lane")));
         }
-        self.tick = snap.req_u64("tick")?;
+        // Recency lives in the stamps' order; the tick is only checked
+        // for presence.
+        snap.req_u64("tick")?;
         self.stats = CacheStats {
             hits: snap.req_u64("hits")?,
             misses: snap.req_u64("misses")?,
             writebacks: snap.req_u64("writebacks")?,
         };
-        for i in 0..self.keys.len() {
-            self.keys[i] = tags[i] | (metas[i] & KEY_VALID);
-            self.metas[i] = metas[i] & (META_DIRTY | META_TICK_MASK);
+        let ways = self.config.ways;
+        let mut stamps = vec![0; ways];
+        for (set, ranks) in self.ranks.chunks_exact_mut(ways).enumerate() {
+            for (i, stamp) in stamps.iter_mut().enumerate() {
+                let (tag, meta) = (tags[set * ways + i], metas[set * ways + i]);
+                let valid = meta & META_VALID != 0;
+                self.keys[set * ways + i] = tag as u32 | if valid { KEY_VALID } else { 0 };
+                // Only valid ways may be dirty.
+                ranks[i] = if valid && meta & META_DIRTY != 0 { RANK_DIRTY } else { 0 };
+                *stamp = meta & META_STAMP_MASK;
+            }
+            swar::ranks_from_stamps(&stamps, ranks);
         }
         Ok(())
     }
@@ -428,6 +391,42 @@ mod tests {
         assert!(CacheConfig::new(0, 2).validate().is_err());
         assert!(CacheConfig::new(500, 2).validate().is_err());
         assert!(CacheConfig { capacity_bytes: 512, ways: 0, line_bytes: 64 }.validate().is_err());
+        CacheConfig::new(64 * 64, 64).validate().unwrap();
+        assert_eq!(
+            CacheConfig::new(65 * 64, 65).validate().unwrap_err().to_string(),
+            "invalid configuration: cache has 65 ways, at most 64 are supported"
+        );
+    }
+
+    #[test]
+    fn footprint_tags_must_fit_31_bits() {
+        // 4 sets: a line's tag is its index >> 2, so 2^27 pages
+        // (2^33 lines) is the largest footprint that fits.
+        let c = CacheConfig::new(512, 2);
+        c.validate_footprint("l1", 1 << 27).unwrap();
+        assert_eq!(
+            c.validate_footprint("l1", (1 << 27) + 1).unwrap_err().to_string(),
+            "invalid configuration: footprint of 134217729 pages is too large for the l1 \
+             cache: its largest line tag 0x8000000f needs more than 31 bits"
+        );
+        assert!(c.validate_footprint("l1", u64::MAX).is_err(), "line count overflow");
+    }
+
+    #[test]
+    fn restore_rejects_tags_wider_than_the_key_lane() {
+        let mut c = tiny();
+        c.access(CacheLine::new(5), false);
+        let mut snap = c.snapshot();
+        let mut tags = snap.req_u64s("tags").unwrap();
+        tags[3] = MAX_TAG + 1;
+        if let Json::Obj(fields) = &mut snap {
+            fields.iter_mut().find(|(k, _)| k == "tags").unwrap().1 =
+                Json::Str(hex_from_u64s(&tags));
+        }
+        assert_eq!(
+            tiny().restore(&snap).unwrap_err().to_string(),
+            "invalid snapshot: cache tag 0x80000000 exceeds the key lane"
+        );
     }
 
     #[test]

@@ -9,14 +9,14 @@
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{Error, Result, VirtPage};
 
-use crate::swar;
+use crate::swar::{self, with_ways, KEY_VALID, MAX_TAG, MAX_WAYS};
 
 /// TLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total entries.
     pub entries: usize,
-    /// Associativity.
+    /// Associativity, at most 64.
     pub ways: usize,
 }
 
@@ -42,13 +42,38 @@ impl TlbConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] unless `entries` is a non-zero
-    /// multiple of `ways` with a power-of-two set count.
+    /// multiple of `ways` with a power-of-two set count, and there are
+    /// at most 64 ways.
     pub fn validate(&self) -> Result<()> {
         if self.entries == 0 || self.ways == 0 || !self.entries.is_multiple_of(self.ways) {
             return Err(Error::invalid_config("tlb entries must be a non-zero multiple of ways"));
         }
+        if self.ways > MAX_WAYS {
+            return Err(Error::invalid_config(format!(
+                "tlb has {} ways, at most {MAX_WAYS} are supported",
+                self.ways
+            )));
+        }
         if !(self.entries / self.ways).is_power_of_two() {
             return Err(Error::invalid_config("tlb set count must be a power of two"));
+        }
+        Ok(())
+    }
+
+    /// Checks that every page of a `rss_pages`-page footprint fits the
+    /// key lane (31 bits).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when the footprint's largest page
+    /// number needs more than 31 bits.
+    pub fn validate_footprint(&self, rss_pages: u64) -> Result<()> {
+        let last_page = rss_pages.saturating_sub(1);
+        if last_page > MAX_TAG {
+            return Err(Error::invalid_config(format!(
+                "footprint of {rss_pages} pages is too large for the tlb: its largest \
+                 page {last_page:#x} needs more than 31 bits"
+            )));
         }
         Ok(())
     }
@@ -77,17 +102,12 @@ impl TlbStats {
     }
 }
 
-/// Top bit of a key-lane word: the entry holds a live translation. The
-/// payload below it is the VPN, so a whole match (validity + VPN) is one
-/// `u64` compare. VPNs are bounded far below 2^63 by the dense workload
-/// ranges; [`Tlb::restore`] rejects anything wider.
-const KEY_VALID: u64 = 1 << 63;
-
 /// A set-associative, LRU TLB over virtual pages.
 ///
-/// Entries are structure-of-arrays: a key lane (`valid | vpn` fused into
-/// one word, so the hot lookup scan compares one contiguous `u64` per
-/// way) and a last-use lane read only on the miss/fill path.
+/// Entries are structure-of-arrays: a `u32` key lane (`valid | vpn`, so
+/// the lookup scan compares one contiguous word per way) and a `u8`
+/// recency-rank lane (a permutation of `0..ways` per set, 0 = most
+/// recently used), the same layout and kernels as the caches.
 ///
 /// ```
 /// use neomem_cache::{Tlb, TlbConfig};
@@ -102,11 +122,10 @@ pub struct Tlb {
     config: TlbConfig,
     /// `KEY_VALID | vpn` per entry; `0` (or any word without the valid
     /// bit) never matches a lookup key.
-    keys: Vec<u64>,
-    /// LRU timestamps, parallel to `keys`.
-    last_uses: Vec<u64>,
+    keys: Vec<u32>,
+    /// Recency ranks, parallel to `keys`.
+    ranks: Vec<u8>,
     set_mask: u64,
-    tick: u64,
     stats: TlbStats,
 }
 
@@ -123,65 +142,66 @@ impl Tlb {
         Self {
             config,
             keys: vec![0; config.entries],
-            last_uses: vec![0; config.entries],
+            ranks: swar::identity_ranks(sets, config.ways),
             set_mask: sets as u64 - 1,
-            tick: 0,
             stats: TlbStats::default(),
         }
+    }
+
+    /// First entry of `vpage`'s set and its lookup key.
+    #[inline(always)]
+    fn locate(&self, vpage: VirtPage, ways: usize) -> (usize, u32) {
+        debug_assert!(vpage.index() <= MAX_TAG, "{vpage:?} exceeds the 31-bit key lane");
+        let set = (vpage.index() & self.set_mask) as usize;
+        (set * ways, KEY_VALID | vpage.index() as u32)
     }
 
     /// Looks up `vpage`, filling the entry on miss. Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, vpage: VirtPage) -> bool {
-        self.tick += 1;
-        let key = KEY_VALID | vpage.index();
-        let set = (vpage.index() & self.set_mask) as usize;
-        let base = set * self.config.ways;
-        let ways = self.config.ways;
+        with_ways!(self.config.ways, ways => self.access_in(ways, vpage))
+    }
 
-        // Branch-free whole-set scan; at most one way can match.
-        if let Some(i) = swar::scan_hit(&self.keys[base..base + ways], key) {
-            self.last_uses[base + i] = self.tick;
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        // Fill: prefer invalid, else LRU.
-        let victim = base
-            + swar::select_victim(
-                &self.keys[base..base + ways],
-                &self.last_uses[base..base + ways],
-                u64::MAX,
-            );
-        self.keys[victim] = key;
-        self.last_uses[victim] = self.tick;
-        false
+    #[inline(always)]
+    fn access_in(&mut self, ways: usize, vpage: VirtPage) -> bool {
+        let (base, key) = self.locate(vpage, ways);
+        let (hit, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
+        let ranks = &mut self.ranks[base..base + ways];
+        let way = match hit {
+            Some(way) => {
+                self.stats.hits += 1;
+                way
+            }
+            None => {
+                self.stats.misses += 1;
+                let way = swar::victim(invalid, ranks);
+                self.keys[base + way] = key;
+                way
+            }
+        };
+        swar::touch(ranks, way, 0);
+        hit.is_some()
     }
 
     /// Invalidates `vpage` (one shootdown), returning whether it was
-    /// present.
+    /// present. The entry keeps its rank.
     pub fn shootdown(&mut self, vpage: VirtPage) -> bool {
-        let key = KEY_VALID | vpage.index();
-        let set = (vpage.index() & self.set_mask) as usize;
-        let base = set * self.config.ways;
-        for i in base..base + self.config.ways {
-            if self.keys[i] == key {
-                self.keys[i] = 0;
-                self.last_uses[i] = 0;
-                self.stats.shootdowns += 1;
-                return true;
-            }
-        }
-        false
+        let ways = self.config.ways;
+        let (base, key) = self.locate(vpage, ways);
+        let Some(way) = swar::scan_set(&self.keys[base..base + ways], key).0 else {
+            return false;
+        };
+        self.keys[base + way] = 0;
+        self.stats.shootdowns += 1;
+        true
     }
 
     /// Flushes the whole TLB (counted as one shootdown per valid entry).
     pub fn flush(&mut self) {
-        for (k, last_use) in self.keys.iter_mut().zip(&mut self.last_uses) {
+        for k in &mut self.keys {
             if *k & KEY_VALID != 0 {
                 self.stats.shootdowns += 1;
                 *k = 0;
-                *last_use = 0;
             }
         }
     }
@@ -196,21 +216,25 @@ impl Tlb {
         &self.config
     }
 
-    /// Serialises the translation entries, LRU tick and counters for a
-    /// machine snapshot. Validity is packed as a bitmask word array.
+    /// Serialises the translation entries, recency stamps and counters
+    /// for a machine snapshot. Validity is packed as a bitmask word
+    /// array; stamps are written as `ways - rank` with `tick = ways`, the
+    /// same wire format as the cache levels.
     pub fn snapshot(&self) -> Json {
-        let vpns: Vec<u64> = self.keys.iter().map(|k| k & !KEY_VALID).collect();
+        let vpns: Vec<u64> = self.keys.iter().map(|k| u64::from(k & !KEY_VALID)).collect();
         let mut valid = vec![0u64; self.keys.len().div_ceil(64)];
         for (i, k) in self.keys.iter().enumerate() {
             if k & KEY_VALID != 0 {
                 valid[i / 64] |= 1 << (i % 64);
             }
         }
+        let last_uses: Vec<u64> =
+            self.ranks.chunks_exact(self.config.ways).flat_map(swar::stamps).collect();
         Json::obj([
             ("vpns", Json::Str(hex_from_u64s(&vpns))),
-            ("last_uses", Json::Str(hex_from_u64s(&self.last_uses))),
+            ("last_uses", Json::Str(hex_from_u64s(&last_uses))),
             ("valid", Json::Str(hex_from_u64s(&valid))),
-            ("tick", Json::U64(self.tick)),
+            ("tick", Json::U64(self.config.ways as u64)),
             ("hits", Json::U64(self.stats.hits)),
             ("misses", Json::U64(self.stats.misses)),
             ("shootdowns", Json::U64(self.stats.shootdowns)),
@@ -218,13 +242,14 @@ impl Tlb {
     }
 
     /// Restores [`Tlb::snapshot`] state onto a TLB with the same
-    /// geometry.
+    /// geometry, rebuilding each set's ranks from its stamps as
+    /// [`crate::SetAssocCache::restore`] does.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] on missing/malformed fields, arrays
-    /// sized for a different geometry, or a VPN wide enough to collide
-    /// with the key lane's valid bit.
+    /// sized for a different geometry, or a VPN wider than the key
+    /// lane's 31 bits.
     pub fn restore(&mut self, snap: &Json) -> Result<()> {
         let vpns = snap.req_u64s("vpns")?;
         let last_uses = snap.req_u64s("last_uses")?;
@@ -239,19 +264,22 @@ impl Tlb {
                 self.keys.len()
             )));
         }
-        if let Some(vpn) = vpns.iter().find(|v| **v & KEY_VALID != 0) {
+        if let Some(vpn) = vpns.iter().find(|v| **v > MAX_TAG) {
             return Err(Error::snapshot(format!("tlb vpn {vpn:#x} exceeds the key lane")));
         }
-        self.tick = snap.req_u64("tick")?;
+        snap.req_u64("tick")?;
         self.stats = TlbStats {
             hits: snap.req_u64("hits")?,
             misses: snap.req_u64("misses")?,
             shootdowns: snap.req_u64("shootdowns")?,
         };
-        for i in 0..self.keys.len() {
+        for (i, (key, vpn)) in self.keys.iter_mut().zip(&vpns).enumerate() {
             let is_valid = (valid[i / 64] >> (i % 64)) & 1 == 1;
-            self.keys[i] = vpns[i] | if is_valid { KEY_VALID } else { 0 };
-            self.last_uses[i] = last_uses[i];
+            *key = *vpn as u32 | if is_valid { KEY_VALID } else { 0 };
+        }
+        let ways = self.config.ways;
+        for (ranks, stamps) in self.ranks.chunks_exact_mut(ways).zip(last_uses.chunks_exact(ways)) {
+            swar::ranks_from_stamps(stamps, ranks);
         }
         Ok(())
     }
@@ -268,6 +296,37 @@ mod tests {
         assert!(TlbConfig { entries: 0, ways: 1 }.validate().is_err());
         assert!(TlbConfig { entries: 9, ways: 2 }.validate().is_err());
         assert!(TlbConfig { entries: 12, ways: 2 }.validate().is_err());
+        TlbConfig { entries: 128, ways: 64 }.validate().unwrap();
+        assert_eq!(
+            TlbConfig { entries: 130, ways: 65 }.validate().unwrap_err().to_string(),
+            "invalid configuration: tlb has 65 ways, at most 64 are supported"
+        );
+    }
+
+    #[test]
+    fn footprint_pages_must_fit_31_bits() {
+        let tlb = TlbConfig::tiny();
+        tlb.validate_footprint(1 << 31).unwrap();
+        assert_eq!(
+            tlb.validate_footprint((1 << 31) + 1).unwrap_err().to_string(),
+            "invalid configuration: footprint of 2147483649 pages is too large for the \
+             tlb: its largest page 0x80000000 needs more than 31 bits"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_vpns_wider_than_the_key_lane() {
+        let mut snap = Tlb::new(TlbConfig::tiny()).snapshot();
+        let mut vpns = snap.req_u64s("vpns").unwrap();
+        vpns[0] = MAX_TAG + 1;
+        if let Json::Obj(fields) = &mut snap {
+            fields.iter_mut().find(|(k, _)| k == "vpns").unwrap().1 =
+                Json::Str(hex_from_u64s(&vpns));
+        }
+        assert_eq!(
+            Tlb::new(TlbConfig::tiny()).restore(&snap).unwrap_err().to_string(),
+            "invalid snapshot: tlb vpn 0x80000000 exceeds the key lane"
+        );
     }
 
     #[test]

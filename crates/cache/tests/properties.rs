@@ -1,6 +1,10 @@
 //! Property-based tests for the cache hierarchy and TLB.
 
-use neomem_cache::{CacheConfig, CacheHierarchy, HierarchyConfig, SetAssocCache, Tlb, TlbConfig};
+use neomem_cache::{
+    CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, LevelOutcome, SetAssocCache, Tlb,
+    TlbConfig, TlbStats,
+};
+use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{AccessKind, CacheLine, VirtPage};
 use proptest::prelude::*;
 
@@ -121,5 +125,373 @@ proptest! {
             b.access(CacheLine::new(l), AccessKind::Write);
         }
         prop_assert_eq!(a.stats(), b.stats());
+    }
+}
+
+/// Every associativity the reference-model tests drive: the dispatched
+/// widths, the runtime-width fallback (odd and large), and the 64-way
+/// cap.
+const MODEL_WAYS: [usize; 10] = [1, 2, 3, 4, 6, 8, 12, 16, 32, 64];
+
+/// Sets per structure in the reference-model tests: few, so random
+/// streams keep revisiting and evicting within each set.
+const MODEL_SETS: usize = 4;
+
+/// The replacement semantics the rank lanes must reproduce, kept naive
+/// as the oracle: a `u64` tick bumped on every probe and fill and
+/// stamped on the way a hit or fill touches; the fill victim is the
+/// first invalid way, else the strict-less minimum stamp (the earliest
+/// way on ties). Its state is exactly what the older `u64`-stamp
+/// snapshots carried, so it also writes them.
+struct RefCache {
+    ways: usize,
+    valid: Vec<bool>,
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+    stamps: Vec<u64>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+/// `MODEL_SETS` = 4 sets, so a line's set is its low two bits.
+const MODEL_SET_BITS: u32 = 2;
+
+fn lru_victim(valid: &[bool], stamps: &[u64]) -> usize {
+    if let Some(i) = valid.iter().position(|v| !v) {
+        return i;
+    }
+    let mut victim = 0;
+    for (i, s) in stamps.iter().enumerate() {
+        if *s < stamps[victim] {
+            victim = i;
+        }
+    }
+    victim
+}
+
+impl RefCache {
+    fn new(ways: usize) -> Self {
+        let n = MODEL_SETS * ways;
+        Self {
+            ways,
+            valid: vec![false; n],
+            tags: vec![0; n],
+            dirty: vec![false; n],
+            stamps: vec![0; n],
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn config(ways: usize) -> CacheConfig {
+        CacheConfig::new((MODEL_SETS * ways * 64) as u64, ways)
+    }
+
+    fn locate(&self, line: u64) -> (usize, u64) {
+        let set = (line as usize) & (MODEL_SETS - 1);
+        (set * self.ways, line >> MODEL_SET_BITS)
+    }
+
+    fn find(&self, line: u64) -> Option<usize> {
+        let (base, tag) = self.locate(line);
+        (base..base + self.ways).find(|&i| self.valid[i] && self.tags[i] == tag)
+    }
+
+    fn probe(&mut self, line: u64, dirty: bool) -> bool {
+        self.tick += 1;
+        match self.find(line) {
+            Some(i) => {
+                self.stamps[i] = self.tick;
+                self.dirty[i] |= dirty;
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
+    fn fill(&mut self, line: u64, dirty: bool) -> Option<CacheLine> {
+        self.tick += 1;
+        let (base, tag) = self.locate(line);
+        let end = base + self.ways;
+        let v = base + lru_victim(&self.valid[base..end], &self.stamps[base..end]);
+        let writeback = (self.valid[v] && self.dirty[v]).then(|| {
+            self.stats.writebacks += 1;
+            CacheLine::new(self.tags[v] << MODEL_SET_BITS | (line & (MODEL_SETS as u64 - 1)))
+        });
+        (self.valid[v], self.tags[v], self.dirty[v], self.stamps[v]) =
+            (true, tag, dirty, self.tick);
+        writeback
+    }
+
+    fn access(&mut self, line: u64, dirty: bool) -> LevelOutcome {
+        if self.probe(line, dirty) {
+            LevelOutcome { hit: true, writeback: None }
+        } else {
+            LevelOutcome { hit: false, writeback: self.fill(line, dirty) }
+        }
+    }
+
+    fn invalidate(&mut self, line: u64) -> bool {
+        let Some(i) = self.find(line) else { return false };
+        let was_dirty = self.dirty[i];
+        (self.valid[i], self.tags[i], self.dirty[i], self.stamps[i]) = (false, 0, false, 0);
+        was_dirty
+    }
+
+    /// The snapshot the `u64`-stamp cache wrote: one packed word per way
+    /// with valid (bit 63) | dirty (bit 62) | tick stamp.
+    fn legacy_snapshot(&self) -> Json {
+        let metas: Vec<u64> = (0..self.valid.len())
+            .map(|i| {
+                u64::from(self.valid[i]) << 63 | u64::from(self.dirty[i]) << 62 | self.stamps[i]
+            })
+            .collect();
+        Json::obj([
+            ("tags", Json::Str(hex_from_u64s(&self.tags))),
+            ("metas", Json::Str(hex_from_u64s(&metas))),
+            ("tick", Json::U64(self.tick)),
+            ("hits", Json::U64(self.stats.hits)),
+            ("misses", Json::U64(self.stats.misses)),
+            ("writebacks", Json::U64(self.stats.writebacks)),
+        ])
+    }
+
+    /// Which tag each way holds, by way index.
+    fn layout(&self) -> Vec<Option<u64>> {
+        (0..self.valid.len()).map(|i| self.valid[i].then_some(self.tags[i])).collect()
+    }
+}
+
+fn cache_layout(cache: &SetAssocCache) -> Vec<Option<u64>> {
+    let snap = cache.snapshot();
+    let tags = snap.req_u64s("tags").unwrap();
+    let metas = snap.req_u64s("metas").unwrap();
+    tags.iter().zip(&metas).map(|(t, m)| (m >> 63 == 1).then_some(*t)).collect()
+}
+
+/// The TLB twin of [`RefCache`].
+struct RefTlb {
+    ways: usize,
+    valid: Vec<bool>,
+    vpns: Vec<u64>,
+    stamps: Vec<u64>,
+    tick: u64,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn new(ways: usize) -> Self {
+        let n = MODEL_SETS * ways;
+        Self {
+            ways,
+            valid: vec![false; n],
+            vpns: vec![0; n],
+            stamps: vec![0; n],
+            tick: 0,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn config(ways: usize) -> TlbConfig {
+        TlbConfig { entries: MODEL_SETS * ways, ways }
+    }
+
+    fn find(&self, vpn: u64) -> Option<usize> {
+        let base = (vpn as usize & (MODEL_SETS - 1)) * self.ways;
+        (base..base + self.ways).find(|&i| self.valid[i] && self.vpns[i] == vpn)
+    }
+
+    fn access(&mut self, vpn: u64) -> bool {
+        self.tick += 1;
+        if let Some(i) = self.find(vpn) {
+            self.stamps[i] = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        self.stats.misses += 1;
+        let base = (vpn as usize & (MODEL_SETS - 1)) * self.ways;
+        let end = base + self.ways;
+        let v = base + lru_victim(&self.valid[base..end], &self.stamps[base..end]);
+        (self.valid[v], self.vpns[v], self.stamps[v]) = (true, vpn, self.tick);
+        false
+    }
+
+    fn shootdown(&mut self, vpn: u64) -> bool {
+        let Some(i) = self.find(vpn) else { return false };
+        (self.valid[i], self.vpns[i], self.stamps[i]) = (false, 0, 0);
+        self.stats.shootdowns += 1;
+        true
+    }
+
+    fn flush(&mut self) {
+        for i in 0..self.valid.len() {
+            if self.valid[i] {
+                self.stats.shootdowns += 1;
+                (self.valid[i], self.vpns[i], self.stamps[i]) = (false, 0, 0);
+            }
+        }
+    }
+
+    /// The snapshot the `u64`-stamp TLB wrote.
+    fn legacy_snapshot(&self) -> Json {
+        let mut valid = vec![0u64; self.valid.len().div_ceil(64)];
+        for (i, v) in self.valid.iter().enumerate() {
+            valid[i / 64] |= u64::from(*v) << (i % 64);
+        }
+        Json::obj([
+            ("vpns", Json::Str(hex_from_u64s(&self.vpns))),
+            ("last_uses", Json::Str(hex_from_u64s(&self.stamps))),
+            ("valid", Json::Str(hex_from_u64s(&valid))),
+            ("tick", Json::U64(self.tick)),
+            ("hits", Json::U64(self.stats.hits)),
+            ("misses", Json::U64(self.stats.misses)),
+            ("shootdowns", Json::U64(self.stats.shootdowns)),
+        ])
+    }
+
+    fn layout(&self) -> Vec<Option<u64>> {
+        (0..self.valid.len()).map(|i| self.valid[i].then_some(self.vpns[i])).collect()
+    }
+}
+
+fn tlb_layout(tlb: &Tlb) -> Vec<Option<u64>> {
+    let snap = tlb.snapshot();
+    let vpns = snap.req_u64s("vpns").unwrap();
+    let valid = snap.req_u64s("valid").unwrap();
+    vpns.iter()
+        .enumerate()
+        .map(|(i, v)| (valid[i / 64] >> (i % 64) & 1 == 1).then_some(*v))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24,
+        failure_persistence: None,
+        ..ProptestConfig::default()
+    })]
+    /// `SetAssocCache` makes exactly the reference model's decisions —
+    /// hit flags, victims (the per-way tag layout), writebacks,
+    /// invalidations and counters — at every associativity. At step
+    /// `cut` the cache's own snapshot and the model's `u64`-stamp
+    /// snapshot are restored into fresh caches, and all of them
+    /// continue in lockstep with the model.
+    #[test]
+    fn cache_matches_the_tick_stamp_reference(
+        ops in prop::collection::vec((0u8..12, 0u64..1 << 20, prop::bool::ANY), 1..300),
+        cut in 0usize..300,
+    ) {
+        for ways in MODEL_WAYS {
+            let mut model = RefCache::new(ways);
+            let mut caches = vec![SetAssocCache::new(RefCache::config(ways))];
+            for (step, &(op, raw, dirty)) in ops.iter().enumerate() {
+                if step == cut {
+                    let mut own = SetAssocCache::new(RefCache::config(ways));
+                    own.restore(&caches[0].snapshot()).unwrap();
+                    let mut legacy = SetAssocCache::new(RefCache::config(ways));
+                    legacy.restore(&model.legacy_snapshot()).unwrap();
+                    caches.extend([own, legacy]);
+                }
+                // Two more tags than ways per set: constant conflict.
+                let line = raw % (MODEL_SETS * (ways + 2)) as u64;
+                let l = CacheLine::new(line);
+                match op {
+                    0..=5 => {
+                        let want = model.access(line, dirty);
+                        for c in &mut caches {
+                            prop_assert_eq!(c.access(l, dirty), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    // Fills never duplicate a resident line.
+                    6..=7 if model.find(line).is_none() => {
+                        let want = model.fill(line, dirty);
+                        for c in &mut caches {
+                            prop_assert_eq!(c.fill(l, dirty), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    6..=9 => {
+                        let want = model.probe(line, dirty);
+                        for c in &mut caches {
+                            prop_assert_eq!(c.probe(l, dirty), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    10 => {
+                        let want = model.invalidate(line);
+                        for c in &mut caches {
+                            prop_assert_eq!(c.invalidate(l), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    _ if raw.is_multiple_of(8) => {
+                        model = RefCache::new(ways);
+                        for c in &mut caches {
+                            c.reset();
+                        }
+                    }
+                    _ => {}
+                }
+                if step % 8 == 0 || step + 1 == ops.len() {
+                    for c in &caches {
+                        prop_assert_eq!(cache_layout(c), model.layout(), "{} ways step {}", ways, step);
+                        prop_assert_eq!(c.stats(), model.stats, "{} ways step {}", ways, step);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The TLB twin of the cache reference test: access / shootdown /
+    /// flush against the `u64`-stamp model, with the same snapshot
+    /// cut.
+    #[test]
+    fn tlb_matches_the_tick_stamp_reference(
+        ops in prop::collection::vec((0u8..10, 0u64..1 << 20), 1..300),
+        cut in 0usize..300,
+    ) {
+        for ways in MODEL_WAYS {
+            let mut model = RefTlb::new(ways);
+            let mut tlbs = vec![Tlb::new(RefTlb::config(ways))];
+            for (step, &(op, raw)) in ops.iter().enumerate() {
+                if step == cut {
+                    let mut own = Tlb::new(RefTlb::config(ways));
+                    own.restore(&tlbs[0].snapshot()).unwrap();
+                    let mut legacy = Tlb::new(RefTlb::config(ways));
+                    legacy.restore(&model.legacy_snapshot()).unwrap();
+                    tlbs.extend([own, legacy]);
+                }
+                let vpn = raw % (MODEL_SETS * (ways + 2)) as u64;
+                let page = VirtPage::new(vpn);
+                match op {
+                    0..=7 => {
+                        let want = model.access(vpn);
+                        for t in &mut tlbs {
+                            prop_assert_eq!(t.access(page), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    8 => {
+                        let want = model.shootdown(vpn);
+                        for t in &mut tlbs {
+                            prop_assert_eq!(t.shootdown(page), want, "{} ways step {}", ways, step);
+                        }
+                    }
+                    _ if raw.is_multiple_of(8) => {
+                        model.flush();
+                        for t in &mut tlbs {
+                            t.flush();
+                        }
+                    }
+                    _ => {}
+                }
+                if step % 8 == 0 || step + 1 == ops.len() {
+                    for t in &tlbs {
+                        prop_assert_eq!(tlb_layout(t), model.layout(), "{} ways step {}", ways, step);
+                        prop_assert_eq!(t.stats(), model.stats, "{} ways step {}", ways, step);
+                    }
+                }
+            }
+        }
     }
 }

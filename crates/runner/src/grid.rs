@@ -382,10 +382,10 @@ impl ExperimentGrid {
         CoRunSimulation::new(corun_config, &spec.mix.reseeded(cell.seed), policy)
     }
 
-    /// Builds the [`CoRunSimulation`] of a scenario cell: identical to
-    /// [`ExperimentGrid::corun`] cells except the engine follows the
-    /// scenario's dynamic-tenancy timeline.
-    fn scenario_simulation_for(&self, cell: &GridCell) -> Result<CoRunSimulation, Error> {
+    /// The engine configuration of a scenario cell: the machine sized
+    /// for the scenario's total footprint at the cell's ratio, carrying
+    /// the scenario's fault timeline.
+    fn scenario_config(&self, cell: &GridCell) -> CoRunConfig {
         let spec = cell.scenario.as_ref().expect("scenario cell");
         let total_rss = spec.scenario.mix().total_rss_pages();
         let mut config = self.machine_config(total_rss, cell.ratio);
@@ -396,18 +396,33 @@ impl ExperimentGrid {
         if let Some(hook) = self.configure {
             hook(&mut config);
         }
-        let overrides = self.cell_overrides(cell);
-        let policy = build_policy(cell.policy, &config, self.time_scale, overrides)?;
-        let corun_config = CoRunConfig {
+        CoRunConfig {
             sim: config,
             interleave_quantum: spec.interleave_quantum,
-            fast_share_cap: overrides.corun_fast_share_cap,
-        };
-        CoRunSimulation::with_scenario(
-            corun_config,
-            &spec.scenario.reseeded(cell.seed),
-            policy,
-        )
+            fast_share_cap: self.cell_overrides(cell).corun_fast_share_cap,
+        }
+    }
+
+    /// Builds the [`CoRunSimulation`] of a scenario cell: identical to
+    /// [`ExperimentGrid::corun`] cells except the engine follows the
+    /// scenario's dynamic-tenancy timeline.
+    fn scenario_simulation_for(&self, cell: &GridCell) -> Result<CoRunSimulation, Error> {
+        let spec = cell.scenario.as_ref().expect("scenario cell");
+        let config = self.scenario_config(cell);
+        let overrides = self.cell_overrides(cell);
+        let policy = build_policy(cell.policy, &config.sim, self.time_scale, overrides)?;
+        CoRunSimulation::with_scenario(config, &spec.scenario.reseeded(cell.seed), policy)
+    }
+
+    /// Names the failing cell in a validation error.
+    fn cell_error(&self, cell: &GridCell, e: Error) -> Error {
+        Error::invalid_config(format!(
+            "grid '{}' cell {} ({} / {}): {e}",
+            self.name,
+            cell.index,
+            cell.workload_label(),
+            policy_name(cell.policy),
+        ))
     }
 
     /// Validates every cell before spending simulation time on any.
@@ -420,15 +435,24 @@ impl ExperimentGrid {
             } else {
                 self.builder_for(cell).build().map(|_| ())
             };
-            check.map_err(|e| {
-                Error::invalid_config(format!(
-                    "grid '{}' cell {} ({} / {}): {e}",
-                    self.name,
-                    cell.index,
-                    cell.workload_label(),
-                    policy_name(cell.policy),
-                ))
-            })?;
+            check.map_err(|e| self.cell_error(cell, e))?;
+        }
+        Ok(())
+    }
+
+    /// Lowers every scenario cell onto the grid's machine exactly as a
+    /// run does and validates the engine configuration, without
+    /// building generators, policies or machines — so a scenario that
+    /// cannot run on its machine is rejected with the error the run
+    /// would report.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing cell's [`Error::InvalidConfig`],
+    /// prefixed as [`ExperimentGrid::run`] prefixes it.
+    pub fn validate_scenarios(&self) -> Result<(), Error> {
+        for cell in self.cells().iter().filter(|cell| cell.scenario.is_some()) {
+            self.scenario_config(cell).validate().map_err(|e| self.cell_error(cell, e))?;
         }
         Ok(())
     }

@@ -163,7 +163,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the footprint is empty,
-    /// doesn't fit in memory, or sub-configs are invalid.
+    /// doesn't fit in memory or in the caches' and TLB's 31-bit tags, or
+    /// sub-configs are invalid.
     pub fn validate(&self) -> Result<()> {
         if self.rss_pages == 0 {
             return Err(Error::invalid_config("rss_pages must be non-zero"));
@@ -182,6 +183,8 @@ impl SimConfig {
         }
         self.caches.validate()?;
         self.tlb.validate()?;
+        self.caches.validate_footprint(self.rss_pages)?;
+        self.tlb.validate_footprint(self.rss_pages)?;
         if self.tick_quantum.is_zero() || self.sample_interval.is_zero() {
             return Err(Error::invalid_config("tick and sample intervals must be non-zero"));
         }
@@ -220,5 +223,18 @@ mod tests {
         let mut tiny_mem = SimConfig::quick(4096, 2);
         tiny_mem.memory = Some(neomem_mem::TieredMemoryConfig::with_frames(4, 4));
         assert!(tiny_mem.validate().is_err(), "footprint larger than memory");
+    }
+
+    #[test]
+    fn rejects_footprints_wider_than_the_tags() {
+        // The tiny L1 has 4 sets, so a line's tag is its index >> 2:
+        // 2^40 pages need 44-bit tags. Validation is pure, so the
+        // rejection comes before any page table or cache is allocated.
+        let config = SimConfig { caches: HierarchyConfig::tiny(), ..SimConfig::quick(1 << 40, 2) };
+        assert_eq!(
+            config.validate().unwrap_err().to_string(),
+            "invalid configuration: footprint of 1099511627776 pages is too large for the l1 \
+             cache: its largest line tag 0xfffffffffff needs more than 31 bits"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! argues the hot-bit design "is more efficient as it reuses the hashing
 //! results and introduces only a minimal number of additional hot bits".
 //! This module provides the strawman so the claim can be measured
-//! (DESIGN.md decision #1; `micro_sketch` benches both).
+//! (DESIGN.md decision #1).
 
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{DevicePage, Error, Result};

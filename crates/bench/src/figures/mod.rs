@@ -10,7 +10,6 @@
 //! figure's JSON is byte-identical at any `--threads` value.
 
 pub mod corun;
-pub mod differential;
 pub mod faults;
 pub mod fig03;
 pub mod fig04;
@@ -108,7 +107,6 @@ pub const ALL: &[Figure] = &[
     Figure { name: "scenarios", title: "Scenarios: tenant churn, phased workloads, contention-aware tiering", run: scenarios::run },
     Figure { name: "faults", title: "Faults: graceful degradation under device outages, link brownouts, capacity loss", run: faults::run },
     Figure { name: "registry", title: "Registry: corpus machines & scenarios validated end-to-end", run: registry::run },
-    Figure { name: "differential", title: "Differential: staged pipeline vs serial reference over the full corpus", run: differential::run },
     Figure { name: "micro_engine", title: "Engine-loop micro-bench: throughput, batch invariance, allocations", run: micro_engine::run },
 ];
 
@@ -158,7 +156,7 @@ mod tests {
 
     #[test]
     fn registry_covers_all_bench_targets_uniquely() {
-        assert_eq!(ALL.len(), 18);
+        assert_eq!(ALL.len(), 17);
         let mut names: Vec<&str> = ALL.iter().map(|f| f.name).collect();
         names.sort_unstable();
         let before = names.len();

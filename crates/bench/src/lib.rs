@@ -24,7 +24,6 @@ use neomem::prelude::*;
 use neomem_runner::ExperimentGrid;
 
 pub mod alloc_probe;
-pub mod diffcheck;
 pub mod figures;
 pub mod wallcmp;
 

@@ -69,6 +69,12 @@ fn scenario_check_rejects_what_the_machine_cannot_run() {
             "schema = 1\nkind = scenario\nname = vast\n\
              [tenant]\nworkload = gups\nrss_pages = 4294967296\nseed = 1\n",
         ),
+        (
+            "unplugged",
+            "schema = 1\nkind = scenario\nname = unplugged\n\
+             [tenant]\nworkload = gups\nrss_pages = 1024\nseed = 1\n\
+             [fault]\nkind = capacity-loss\nat = 2ms\nduration = 4ms\nframes = 100000000\n",
+        ),
     ];
     for (name, text) in files {
         std::fs::write(dir.join(format!("{name}.cfg")), text).unwrap();
@@ -88,6 +94,12 @@ fn scenario_check_rejects_what_the_machine_cannot_run() {
         "invalid configuration: grid 'registry/vast' cell 0 (vast / NeoMem): invalid \
          configuration: footprint of 4294967296 pages is too large for the l1 cache: its \
          largest line tag 0x1ffffffff needs more than 31 bits"
+    );
+    assert_eq!(
+        check("unplugged"),
+        "invalid configuration: grid 'registry/unplugged' cell 0 (unplugged / NeoMem): invalid \
+         configuration: fault capacity-loss at 2000000ns: frames = 100000000 exceeds the 341 \
+         frames of the fast tier"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -100,8 +100,8 @@ pub mod prelude {
     pub use crate::experiment::{build_policy, Experiment, ExperimentBuilder, PolicyOverrides};
     pub use neomem_policies::PolicyKind;
     pub use neomem_sim::{
-        CoRunConfig, CoRunReport, CoRunSimulation, MachineDescription, PipelineMode, RunReport,
-        SimConfig, Simulation, TimelinePoint,
+        CoRunConfig, CoRunReport, CoRunSimulation, MachineDescription, RunReport, SimConfig,
+        Simulation, TimelinePoint,
     };
     pub use neomem_types::{Bandwidth, Bytes, FaultKind, FaultPlan, Nanos, Tier};
     pub use neomem_workloads::{PhaseSpec, Scenario, TenantMix, WorkloadKind};

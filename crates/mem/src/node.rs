@@ -220,20 +220,6 @@ impl MemoryNode {
         self.line_occupancy
     }
 
-    /// Channel occupancy of a single line transfer under the current
-    /// degradation state — what one [`MemoryNode::service`] call adds
-    /// to the busy horizon.
-    pub fn service_occupancy(&self) -> Nanos {
-        self.effective_line_occupancy()
-    }
-
-    /// Outstanding channel backlog at `now`: how long a request
-    /// arriving now would queue behind already-admitted traffic. Zero
-    /// for an idle channel.
-    pub fn backlog(&self, now: Nanos) -> Nanos {
-        self.busy_until.saturating_sub(now)
-    }
-
     /// Serialises the node's mutable state (channel busy horizon, meter
     /// window, counters) for a machine snapshot. The configuration and
     /// derived line occupancy are not included — a snapshot is restored

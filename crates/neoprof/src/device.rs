@@ -66,9 +66,6 @@ pub struct NeoProf {
     /// State snapshot latched by `GetNrSample`.
     latched_state: StateSnapshot,
     stats: NeoProfStats,
-    /// Reused drain buffer for [`Self::snoop_tick_batch`]; scratch
-    /// only, never snapshotted.
-    drain_buf: Vec<DevicePage>,
 }
 
 impl NeoProf {
@@ -88,7 +85,6 @@ impl NeoProf {
             hist_read_idx: 0,
             latched_state: StateSnapshot::default(),
             stats: NeoProfStats::default(),
-            drain_buf: Vec::new(),
         })
     }
 
@@ -118,34 +114,6 @@ impl NeoProf {
                 stats.hot_reported += 1;
             }
         }
-    }
-
-    /// Snoops a batch of requests, each occupying the channel for
-    /// `occupancy`, with one low-frequency-core tick per request —
-    /// bit-identical to alternating [`snoop`](Self::snoop) /
-    /// [`tick`](Self::tick) calls.
-    ///
-    /// FIFO pushes and drains stay interleaved per request, because
-    /// overflow accounting is schedule-sensitive; the drained pages'
-    /// detector observations never touch the FIFO, so they coalesce
-    /// into one lane-major sketch pass at batch end
-    /// ([`HotPageDetector::observe_batch`]) in the exact drain order.
-    pub fn snoop_tick_batch(&mut self, reqs: &[MemRequest], occupancy: Nanos) {
-        let n = self.drain_per_tick;
-        let mut drained = std::mem::take(&mut self.drain_buf);
-        drained.clear();
-        for &req in reqs {
-            self.stats.snooped += 1;
-            self.state_monitor.record(req.kind, occupancy);
-            if let Some(page) = self.page_monitor.extract(&req) {
-                if !self.fifo.push(page) {
-                    self.stats.fifo_dropped += 1;
-                }
-            }
-            drained.extend(self.fifo.drain_up_to(n));
-        }
-        self.stats.hot_reported += self.detector.observe_batch(&drained);
-        self.drain_buf = drained;
     }
 
     /// Handles an MMIO write (host → device command).
@@ -427,39 +395,6 @@ mod tests {
         // The device still works after overflow.
         dev.snoop(req(1, AccessKind::Read), Nanos::new(5));
         dev.tick();
-    }
-
-    #[test]
-    fn batched_snoop_matches_alternating_snoop_tick() {
-        // Tiny FIFO + small drain rate so overflow and partial drains
-        // are exercised, not just the easy steady state.
-        let cfg = NeoProfConfig {
-            fifo_depth: 8,
-            drain_per_tick: 4,
-            ..NeoProfConfig::small(PageNum::new(0))
-        };
-        let mut serial = NeoProf::new(cfg).unwrap();
-        let mut batched = NeoProf::new(cfg).unwrap();
-        serial.mmio_write(mmio::SET_THRESHOLD, 2, Nanos::ZERO).unwrap();
-        batched.mmio_write(mmio::SET_THRESHOLD, 2, Nanos::ZERO).unwrap();
-        let reqs: Vec<MemRequest> = (0..500u64)
-            .map(|i| {
-                let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                req(i * 7 % 37, kind)
-            })
-            .collect();
-        for &r in &reqs {
-            serial.snoop(r, Nanos::new(5));
-            serial.tick();
-        }
-        for chunk in reqs.chunks(23) {
-            batched.snoop_tick_batch(chunk, Nanos::new(5));
-        }
-        assert_eq!(
-            format!("{:?}", serial.snapshot()),
-            format!("{:?}", batched.snapshot()),
-            "batched device state must be bit-identical"
-        );
     }
 
     #[test]

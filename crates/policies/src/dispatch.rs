@@ -8,12 +8,6 @@
 //! time, so the per-access dispatch is a jump table over code the
 //! compiler can see through. Out-of-tree policies still run — they ride
 //! in the [`PolicyBox::Custom`] variant at the old virtual-call cost.
-//!
-//! `PolicyBox` also answers the staging question the batch pipeline
-//! asks: [`PolicyBox::max_access_charge`] returns a bound on the time
-//! `on_access` can charge when the policy is *stageable* — its
-//! per-access hook never mutates mappings, caches or the TLB — and
-//! `None` when the engine must fall back to strictly serial stepping.
 
 use neomem_kernel::Kernel;
 use neomem_profilers::AccessEvent;
@@ -68,75 +62,6 @@ macro_rules! each_policy {
             PolicyBox::Custom($p) => $body,
         }
     };
-}
-
-impl PolicyBox {
-    /// Upper bound on what one [`TieringPolicy::on_access`] call can
-    /// charge, for policies whose per-access hook is *stageable*: it
-    /// may mutate only policy-private state (samplers, sketches, the
-    /// LRU recency lists), never the page table, frame assignments,
-    /// caches or TLB, and its charge bound and
-    /// [`TieringPolicy::alloc_preference`] never change between ticks.
-    /// Returns `None` for policies that migrate pages inside the access
-    /// hook (hint-fault promotion) and for [`PolicyBox::Custom`], whose
-    /// body the engine cannot audit — those run strictly serially.
-    pub fn max_access_charge(&self) -> Option<Nanos> {
-        match self {
-            // NeoProf snooping and LRU aging charge no CPU time inline.
-            PolicyBox::NeoMem(_) => Some(Nanos::ZERO),
-            PolicyBox::Pebs(p) => Some(p.max_access_charge()),
-            PolicyBox::Memtis(p) => Some(p.max_access_charge()),
-            // Hint faults promote pages from inside on_access.
-            PolicyBox::HintFault(_) => None,
-            // Scanning happens at ticks; accesses only age the LRU.
-            PolicyBox::PteScan(_) => Some(Nanos::ZERO),
-            PolicyBox::FirstTouch(_) => Some(Nanos::ZERO),
-            PolicyBox::Custom(_) => None,
-        }
-    }
-
-    /// Whether `on_access` is a complete no-op (no charge, no state),
-    /// letting the staged pipeline skip the call entirely.
-    pub fn access_is_noop(&self) -> bool {
-        matches!(self, PolicyBox::FirstTouch(_))
-    }
-
-    /// Chunked access hook: equivalent to calling
-    /// [`TieringPolicy::on_access`] once per event in order, but with a
-    /// single dispatch per chunk so each variant's body runs as a tight
-    /// direct-call loop (or a genuinely batched kernel, for NeoMem).
-    ///
-    /// Contract: appends exactly `events.len()` charges to `charges` in
-    /// event order — unless `max_access_charge() == Some(Nanos::ZERO)`,
-    /// in which case the charges are provably all zero and the policy
-    /// may skip pushing them entirely. Callers staging on a zero bound
-    /// must therefore not read `charges` back.
-    pub fn on_access_chunk(
-        &mut self,
-        events: &[AccessEvent],
-        kernel: &mut Kernel,
-        charges: &mut Vec<Nanos>,
-    ) {
-        match self {
-            // Batched kernel: slow-tier snoops collect and hit the
-            // NeoProf device in one pass; charges are uniformly zero.
-            PolicyBox::NeoMem(p) => p.on_access_chunk(events, kernel),
-            // Zero-charge policies: direct-call loop, charges elided.
-            PolicyBox::PteScan(p) => {
-                for ev in events {
-                    let _ = p.on_access(ev, kernel);
-                }
-            }
-            PolicyBox::FirstTouch(_) => {}
-            // Charged (or unaudited) policies: per-event charges are
-            // observable, so record each one.
-            _ => each_policy!(self, p => {
-                for ev in events {
-                    charges.push(p.on_access(ev, kernel));
-                }
-            }),
-        }
-    }
 }
 
 impl TieringPolicy for PolicyBox {
@@ -285,8 +210,6 @@ mod tests {
         let b: PolicyBox = FirstTouchPolicy::new().into();
         assert!(matches!(b, PolicyBox::FirstTouch(_)));
         assert_eq!(b.name(), "First-touch NUMA");
-        assert!(b.access_is_noop());
-        assert_eq!(b.max_access_charge(), Some(Nanos::ZERO));
 
         let b: PolicyBox = Box::new(FirstTouchPolicy::pinned(Tier::Slow)).into();
         assert!(matches!(b, PolicyBox::FirstTouch(_)));
@@ -299,7 +222,5 @@ mod tests {
         let b: PolicyBox = obj.into();
         assert!(matches!(b, PolicyBox::Custom(_)));
         assert_eq!(b.name(), "First-touch NUMA");
-        assert_eq!(b.max_access_charge(), None, "custom bodies cannot be audited");
-        assert!(!b.access_is_noop());
     }
 }

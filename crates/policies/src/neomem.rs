@@ -138,9 +138,6 @@ pub struct NeoMemPolicy {
     fallback: Option<PteScanner>,
     /// Cumulative CPU time burned in fallback PTE scans.
     fallback_overhead: Nanos,
-    /// Reused slow-tier request buffer for the chunked access hook;
-    /// scratch only, never snapshotted.
-    snoop_reqs: Vec<MemRequest>,
 }
 
 /// Per-tenant arbitration state, active only on co-run machines.
@@ -241,7 +238,6 @@ impl NeoMemPolicy {
             tenancy: None,
             fallback: None,
             fallback_overhead: Nanos::ZERO,
-            snoop_reqs: Vec::new(),
         })
     }
 
@@ -477,31 +473,6 @@ impl NeoMemPolicy {
         }
         self.promoted_huge_bytes += moved * neomem_types::PAGE_SIZE;
         cost
-    }
-
-    /// Chunked form of the access hook, bit-identical to per-event
-    /// [`TieringPolicy::on_access`] calls: fast-tier LRU aging runs
-    /// inline in event order (it mutates kernel state), while slow-tier
-    /// device snoops — which touch only the NeoProf device — collect
-    /// into one batched pass at chunk end. The two sides update
-    /// disjoint state and each preserves its own internal order, so the
-    /// interleaving between them is unobservable. Charges are uniformly
-    /// zero (the device snoops off the channel; LRU aging is kernel
-    /// bookkeeping), matching the `max_access_charge()` bound.
-    pub fn on_access_chunk(&mut self, events: &[AccessEvent], kernel: &mut Kernel) {
-        let mut reqs = std::mem::take(&mut self.snoop_reqs);
-        reqs.clear();
-        for ev in events {
-            if !ev.llc_miss {
-                continue;
-            }
-            match ev.tier {
-                Tier::Slow => reqs.push(MemRequest::new(ev.frame, 0, ev.kind)),
-                Tier::Fast => kernel.record_fast_access(ev.vpage),
-            }
-        }
-        self.driver.snoop_batch(&reqs);
-        self.snoop_reqs = reqs;
     }
 }
 

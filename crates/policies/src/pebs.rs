@@ -85,13 +85,6 @@ impl PebsPolicy {
         &self.sampler
     }
 
-    /// Upper bound on one `on_access` charge: a sample that also drains
-    /// the PEBS buffer.
-    pub fn max_access_charge(&self) -> Nanos {
-        let c = self.sampler.config();
-        c.per_sample_cost + c.drain_cost
-    }
-
     fn promote_candidates(
         &mut self,
         candidates: Vec<VirtPage>,
@@ -216,13 +209,6 @@ impl MemtisPolicy {
         let sample_interval =
             (PebsConfig::default().sample_interval * 20 / factor.max(1)).max(20);
         Self::new(PebsConfig { sample_interval, ..PebsConfig::default() }, mquota, interval)
-    }
-
-    /// Upper bound on one `on_access` charge: a sample that also drains
-    /// the PEBS buffer.
-    pub fn max_access_charge(&self) -> Nanos {
-        let c = self.sampler.config();
-        c.per_sample_cost + c.drain_cost
     }
 }
 

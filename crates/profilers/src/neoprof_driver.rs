@@ -108,18 +108,6 @@ impl NeoProfDriver {
         self.device.tick();
     }
 
-    /// Hardware path, batched: the device snoops a run of slow-tier
-    /// requests, bit-identical to per-request [`snoop`](Self::snoop)
-    /// calls (outages only toggle between accesses, never inside a
-    /// chunk, so one guard covers the whole batch). Costs zero CPU
-    /// time.
-    pub fn snoop_batch(&mut self, reqs: &[MemRequest]) {
-        if self.outage {
-            return;
-        }
-        self.device.snoop_tick_batch(reqs, self.config.snoop_occupancy);
-    }
-
     /// Sets the hot-page threshold θ; returns the MMIO cost.
     pub fn set_threshold(&mut self, theta: u16, now: Nanos) -> Nanos {
         if self.outage {

@@ -3,7 +3,7 @@
 use neomem_cache::{HierarchyConfig, TlbConfig};
 use neomem_kernel::MigrationCosts;
 use neomem_mem::TieredMemoryConfig;
-use neomem_types::{Error, FaultPlan, Nanos, Result};
+use neomem_types::{Error, FaultKind, FaultPlan, Nanos, Result};
 
 /// Load-to-use latencies per cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,60 +58,10 @@ pub struct SimConfig {
     /// contract), so this never needs sweeping — 1 recovers the
     /// event-at-a-time seed path for debugging.
     pub batch_size: usize,
-    /// How the engine executes each event batch. Purely a host-side
-    /// execution strategy: both modes produce bit-identical simulated
-    /// results (the `differential` suite holds this), so this never
-    /// needs sweeping — [`PipelineMode::Serial`] recovers the
-    /// event-at-a-time reference path for debugging and differential
-    /// testing.
-    pub pipeline: PipelineMode,
     /// Deterministic fault timeline the engine executes on the virtual
     /// clock. The default empty plan models a healthy machine and is
     /// guaranteed bit-identical to the pre-fault-layer engine.
     pub faults: FaultPlan,
-}
-
-/// How the engine turns a batch of workload events into machine steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Stage-by-stage over deadline-safe chunks of the batch buffer:
-    /// one pass for TLB + page-table work, one for the cache
-    /// hierarchy, one fused timing pass for memory traffic and the
-    /// policy hook. Chunks are sized so no tick, sample, fault or stop
-    /// deadline can land inside one; anything else falls back to the
-    /// serial path, keeping results bit-identical to it.
-    #[default]
-    Staged,
-    /// The event-at-a-time reference path: each access runs all four
-    /// machine phases before the next one starts.
-    Serial,
-}
-
-impl PipelineMode {
-    /// The process-wide default mode: [`PipelineMode::Staged`], or the
-    /// serial reference path when `NEOMEM_PIPELINE=serial` is set —
-    /// the engine-execution analogue of `batch_size = 1`. Results are
-    /// bit-identical either way (the `differential` suite holds this);
-    /// the knob exists so before/after wall-clock comparisons and
-    /// bisections can force the reference path without a rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a misspelling must not
-    /// silently measure the wrong engine.
-    pub fn from_env() -> Self {
-        static MODE: std::sync::OnceLock<PipelineMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("NEOMEM_PIPELINE") {
-            Err(_) => PipelineMode::Staged,
-            Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-                "" | "staged" => PipelineMode::Staged,
-                "serial" => PipelineMode::Serial,
-                _ => panic!(
-                    "unrecognised NEOMEM_PIPELINE value {value:?}: expected serial or staged"
-                ),
-            },
-        })
-    }
 }
 
 impl SimConfig {
@@ -136,7 +86,6 @@ impl SimConfig {
             tick_quantum: Nanos::from_micros(100),
             sample_interval: Nanos::from_millis(1),
             batch_size: 256,
-            pipeline: PipelineMode::from_env(),
             faults: FaultPlan::empty(),
         }
     }
@@ -163,8 +112,10 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the footprint is empty,
-    /// doesn't fit in memory or in the caches' and TLB's 31-bit tags, or
-    /// sub-configs are invalid.
+    /// doesn't fit in memory or in the caches' and TLB's 31-bit tags, a
+    /// capacity-loss fault removes more frames than the fast tier has or
+    /// than the two tiers hold beyond the footprint, or sub-configs are
+    /// invalid.
     pub fn validate(&self) -> Result<()> {
         if self.rss_pages == 0 {
             return Err(Error::invalid_config("rss_pages must be non-zero"));
@@ -180,6 +131,27 @@ impl SimConfig {
                 "footprint of {} pages exceeds physical capacity {}",
                 self.rss_pages, capacity
             )));
+        }
+        // Capacity-loss windows never overlap each other, so each one
+        // must leave room for the footprint on its own.
+        for event in self.faults.events() {
+            let FaultKind::CapacityLoss { frames } = event.kind else { continue };
+            let at = event.at.as_nanos();
+            if frames > mem.fast.capacity_frames {
+                return Err(Error::invalid_config(format!(
+                    "fault capacity-loss at {at}ns: frames = {frames} exceeds the {} frames \
+                     of the fast tier",
+                    mem.fast.capacity_frames
+                )));
+            }
+            let spare = capacity - self.rss_pages;
+            if frames > spare {
+                return Err(Error::invalid_config(format!(
+                    "fault capacity-loss at {at}ns: frames = {frames} exceeds the {spare} \
+                     frames the two tiers hold beyond the footprint of {} pages",
+                    self.rss_pages
+                )));
+            }
         }
         self.caches.validate()?;
         self.tlb.validate()?;
@@ -223,6 +195,32 @@ mod tests {
         let mut tiny_mem = SimConfig::quick(4096, 2);
         tiny_mem.memory = Some(neomem_mem::TieredMemoryConfig::with_frames(4, 4));
         assert!(tiny_mem.validate().is_err(), "footprint larger than memory");
+    }
+
+    #[test]
+    fn rejects_capacity_loss_the_machine_cannot_absorb() {
+        // 16 frames under a 12-page footprint leave 4 to spare: with 8
+        // fast frames the spare count binds, with 2 the fast tier does.
+        let with_loss = |fast: u64, frames: u64| {
+            let mut config = SimConfig::quick(12, 2);
+            config.memory = Some(neomem_mem::TieredMemoryConfig::with_frames(fast, 16 - fast));
+            config.faults = FaultPlan::builder()
+                .capacity_loss(Nanos::from_millis(1), Nanos::from_millis(1), frames)
+                .build()
+                .unwrap();
+            config.validate()
+        };
+        with_loss(8, 4).unwrap();
+        assert_eq!(
+            with_loss(8, 5).unwrap_err().to_string(),
+            "invalid configuration: fault capacity-loss at 1000000ns: frames = 5 exceeds the \
+             4 frames the two tiers hold beyond the footprint of 12 pages"
+        );
+        assert_eq!(
+            with_loss(2, 3).unwrap_err().to_string(),
+            "invalid configuration: fault capacity-loss at 1000000ns: frames = 3 exceeds the \
+             2 frames of the fast tier"
+        );
     }
 
     #[test]

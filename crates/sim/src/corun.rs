@@ -516,14 +516,6 @@ impl CoRunSimulation {
         let tenant_count = self.lanes.len();
 
         let mut shootdowns: Vec<VirtPage> = Vec::new();
-        // Staged pipeline admission, as in the single-tenant engine:
-        // `Some(bound)` when the mode allows it and the policy's
-        // access hook is stageable.
-        let staged_charge = match self.machine.config.pipeline {
-            crate::config::PipelineMode::Staged => self.machine.policy.max_access_charge(),
-            crate::config::PipelineMode::Serial => None,
-        };
-        let mut scratch = crate::engine::ChunkScratch::new();
         // At every loop top `next_deadline` equals the earliest of the
         // current tick/sample/stop deadlines (every update site
         // re-establishes it), so recomputing it here restores the
@@ -703,11 +695,8 @@ impl CoRunSimulation {
                     buf.clear();
                     self.lanes[lane_idx].workload.fill_events(&mut buf, n);
                     produced += n;
-                    let mut i = 0;
-                    // Consecutive accesses at `i`; 0 = not yet scanned.
-                    let mut run_len = 0usize;
-                    while i < buf.len() {
-                        let access = match buf[i] {
+                    for event in &buf {
+                        let access = match *event {
                             WorkloadEvent::Access(mut access) => {
                                 // Relocate into the tenant's namespace.
                                 access.vpage = VirtPage::new(base + access.vpage.index());
@@ -720,56 +709,12 @@ impl CoRunSimulation {
                                     id: m.id,
                                     label: m.label,
                                 });
-                                i += 1;
-                                run_len = 0;
                                 continue;
                             }
                         };
-                        if let Some(charge_max) = staged_charge {
-                            if run_len == 0 {
-                                run_len = 1;
-                                while i + run_len < buf.len()
-                                    && matches!(buf[i + run_len], WorkloadEvent::Access(_))
-                                {
-                                    run_len += 1;
-                                }
-                            }
-                            let take = self.machine.chunk_capacity(
-                                &buf[i..i + run_len],
-                                base,
-                                state.clock,
-                                next_deadline,
-                                charge_max,
-                                &costs,
-                            );
-                            if take >= 2 {
-                                scratch.begin();
-                                for event in &buf[i..i + take] {
-                                    if let WorkloadEvent::Access(access) = event {
-                                        let mut access = *access;
-                                        access.vpage =
-                                            VirtPage::new(base + access.vpage.index());
-                                        scratch.accesses.push(access);
-                                    }
-                                }
-                                state.clock +=
-                                    self.machine.step_chunk(state.clock, &costs, &mut scratch);
-                                state.accesses += take as u64;
-                                state.window_accesses += take as u64;
-                                debug_assert!(
-                                    state.clock < next_deadline,
-                                    "chunk bound violated"
-                                );
-                                i += take;
-                                run_len -= take;
-                                continue;
-                            }
-                        }
                         state.clock += self.machine.step(access, state.clock, &costs);
                         state.accesses += 1;
                         state.window_accesses += 1;
-                        i += 1;
-                        run_len = run_len.saturating_sub(1);
 
                         if state.clock < next_deadline {
                             continue;

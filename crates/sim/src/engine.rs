@@ -14,7 +14,7 @@ use crate::report::{MarkerRecord, RunReport, TimelinePoint};
 use crate::snapshot;
 
 /// Per-access latencies resolved out of [`SimConfig`] once, before the
-/// run loop, so [`Simulation::step`] reads locals instead of chasing
+/// run loop, so [`Machine::step`] reads locals instead of chasing
 /// config fields on every access.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotCosts {
@@ -167,13 +167,6 @@ pub(crate) fn run_core(
     // Reusable shootdown buffer: policies append into it, so the
     // steady-state tick path performs no heap allocation.
     let mut shootdowns: Vec<VirtPage> = Vec::new();
-    // Staged pipeline admission: `Some(bound)` when the configured
-    // mode allows it and the policy's access hook is stageable.
-    let staged_charge = match machine.config.pipeline {
-        crate::config::PipelineMode::Staged => machine.policy.max_access_charge(),
-        crate::config::PipelineMode::Serial => None,
-    };
-    let mut scratch = ChunkScratch::new();
     let mut next_deadline = deadline_with_cut(state.next_tick, state.next_sample, limit, cut)
         .min(machine.faults.deadline());
 
@@ -189,11 +182,8 @@ pub(crate) fn run_core(
         let n = (max_accesses - state.accesses).min(batch as u64) as usize;
         events.clear();
         workload.fill_events(&mut events, n);
-        let mut i = 0;
-        // Consecutive accesses starting at `i`; 0 = not yet scanned.
-        let mut run_len = 0usize;
-        while i < events.len() {
-            let access = match events[i] {
+        for event in &events {
+            let access = match *event {
                 WorkloadEvent::Access(access) => access,
                 WorkloadEvent::Marker(m) => {
                     // Markers skip the deadline checks, exactly like
@@ -203,49 +193,12 @@ pub(crate) fn run_core(
                         id: m.id,
                         label: m.label,
                     });
-                    i += 1;
-                    run_len = 0;
                     continue;
                 }
             };
-            if let Some(charge_max) = staged_charge {
-                if run_len == 0 {
-                    run_len = 1;
-                    while i + run_len < events.len()
-                        && matches!(events[i + run_len], WorkloadEvent::Access(_))
-                    {
-                        run_len += 1;
-                    }
-                }
-                let take = machine.chunk_capacity(
-                    &events[i..i + run_len],
-                    0,
-                    state.clock,
-                    next_deadline,
-                    charge_max,
-                    &costs,
-                );
-                if take >= 2 {
-                    scratch.begin();
-                    for event in &events[i..i + take] {
-                        if let WorkloadEvent::Access(access) = event {
-                            scratch.accesses.push(*access);
-                        }
-                    }
-                    state.clock += machine.step_chunk(state.clock, &costs, &mut scratch);
-                    state.accesses += take as u64;
-                    state.window_accesses += take as u64;
-                    debug_assert!(state.clock < next_deadline, "chunk bound violated");
-                    i += take;
-                    run_len -= take;
-                    continue;
-                }
-            }
             state.clock += machine.step(access, state.clock, &costs);
             state.accesses += 1;
             state.window_accesses += 1;
-            i += 1;
-            run_len = run_len.saturating_sub(1);
 
             if state.clock < next_deadline {
                 continue;
@@ -298,79 +251,6 @@ pub(crate) fn run_core(
         }
     }
     StopReason::Finished
-}
-
-/// Reused structure-of-arrays scratch for the staged batch pipeline:
-/// one lane per per-event fact that a later pass needs. Allocated once
-/// per run and cleared per chunk, so the steady state allocates
-/// nothing.
-pub(crate) struct ChunkScratch {
-    /// The chunk's accesses, in workload order (co-run lanes push them
-    /// already relocated into the tenant namespace).
-    pub(crate) accesses: Vec<Access>,
-    /// Pass A+B: resolved physical frame in the low bits, with the
-    /// per-event booleans packed into the (frame-number-free) top bits
-    /// — [`FRAME_TLB_HIT`] from pass A, [`FRAME_LLC_MISS`] and
-    /// [`FRAME_FILL`] OR-ed in by pass B. One u64 lane instead of one
-    /// u64 plus three bool lanes keeps the staged path's scratch
-    /// traffic down.
-    frames: Vec<u64>,
-    /// Pass A+B: clock-independent time — CPU, walk, minor fault and
-    /// cache hit latency. Pass C adds the clock-dependent rest.
-    fixed: Vec<Nanos>,
-    /// Pass B: resolved dirty writeback victim, if any — the victim's
-    /// page and its translated frame. Victims whose page the serial
-    /// interleaving would have seen unmapped (first-touched later in
-    /// this very chunk) are already dropped to `None` here.
-    wb_victims: Vec<Option<(VirtPage, neomem_types::PageNum)>>,
-    /// Pass A: pages first mapped by this chunk, with the index of the
-    /// event that mapped them — sorted by page after pass A so pass B
-    /// can binary-search it. Keeps writeback victim resolution
-    /// order-faithful: a stale dirty line of a page the chunk maps at
-    /// index `k` must still miss translation for events before `k`,
-    /// exactly as in the serial path.
-    first_touches: Vec<(VirtPage, usize)>,
-    /// Pass P: the chunk's policy-visible events — for each access, an
-    /// optional writeback event followed by the demand event, in serial
-    /// order. Consumed by one `on_access_chunk` dispatch.
-    events: Vec<AccessEvent>,
-    /// Pass P: per-event policy charges, parallel to `events`. Left
-    /// empty by zero-charge policies (see
-    /// [`PolicyBox::on_access_chunk`]); pass C then skips the lane.
-    charges: Vec<Nanos>,
-}
-
-/// Tag bits packed above the frame number in [`ChunkScratch::frames`].
-/// Physical frame numbers are bounded by the machine's page count
-/// (nowhere near 2^48), so the top bits are guaranteed free.
-const FRAME_TLB_HIT: u64 = 1 << 63;
-const FRAME_LLC_MISS: u64 = 1 << 62;
-const FRAME_FILL: u64 = 1 << 61;
-const FRAME_NUM_MASK: u64 = FRAME_FILL - 1;
-
-impl ChunkScratch {
-    pub(crate) fn new() -> Self {
-        Self {
-            accesses: Vec::new(),
-            frames: Vec::new(),
-            fixed: Vec::new(),
-            wb_victims: Vec::new(),
-            first_touches: Vec::new(),
-            events: Vec::new(),
-            charges: Vec::new(),
-        }
-    }
-
-    /// Empties every lane for the next chunk; capacity is retained.
-    pub(crate) fn begin(&mut self) {
-        self.accesses.clear();
-        self.frames.clear();
-        self.fixed.clear();
-        self.wb_victims.clear();
-        self.first_touches.clear();
-        self.events.clear();
-        self.charges.clear();
-    }
 }
 
 /// The simulated machine shared by the single-tenant [`Simulation`]
@@ -616,259 +496,6 @@ impl Machine {
         };
         elapsed += self.policy.on_access(&event, &mut self.kernel);
         elapsed
-    }
-
-    /// How many of `run` (a slice of consecutive access events, with
-    /// `vpage_base` added to each virtual page for co-run tenant
-    /// relocation) the staged pipeline may execute as one chunk without
-    /// any deadline check, given the hot loop's current
-    /// `next_deadline`.
-    ///
-    /// The bound is a worst case over everything one access can charge:
-    /// CPU, page walk, minor fault, the deepest cache hit, a demand
-    /// fill at the slower node's degraded latency, two channel
-    /// occupancies (fill + writeback) and two policy charges (demand +
-    /// writeback events, bounded by `charge_max`). Queueing waits are
-    /// covered by a potential argument — the busy horizons grow by at
-    /// most one occupancy per service call, so total chunk wait is
-    /// bounded by the start-of-chunk backlog (added once) plus the
-    /// per-event occupancy terms. A chunk of `n` events therefore
-    /// finishes strictly before `next_deadline`, meaning the serial
-    /// path would have taken its fast `continue` on every one of them:
-    /// skipping the checks is unobservable.
-    ///
-    /// The minor-fault term is the bound's dominant cost but is only
-    /// payable by an access whose page is unmapped *right now*: staged
-    /// policies never unmap from their access hook, so a page mapped at
-    /// admission time stays mapped through the chunk, and a page that
-    /// is unmapped can fault at most once. Charging the fault term only
-    /// to currently-unmapped candidates (a dense page-table flag probe
-    /// per event) is therefore still a worst case, and in the
-    /// post-warmup steady state — where nothing faults — it admits
-    /// chunks several times longer than the uniform bound would.
-    pub(crate) fn chunk_capacity(
-        &self,
-        run: &[WorkloadEvent],
-        vpage_base: u64,
-        clock: Nanos,
-        next_deadline: Nanos,
-        charge_max: Nanos,
-        costs: &HotCosts,
-    ) -> usize {
-        let mem = self.kernel.memory();
-        let fast = mem.node(Tier::Fast);
-        let slow = mem.node(Tier::Slow);
-        let occ_max = fast.service_occupancy().max(slow.service_occupancy());
-        let fill_lat = |n: &neomem_mem::MemoryNode| {
-            n.config().read_latency.as_nanos().saturating_mul(n.latency_multiplier())
-        };
-        let fill_max = fill_lat(fast).max(fill_lat(slow));
-        let cache_max = costs.l1.max(costs.l2).max(costs.llc);
-        let base_cost = costs
-            .cpu_per_access
-            .as_nanos()
-            .saturating_add(costs.tlb_walk.as_nanos())
-            .saturating_add(cache_max.as_nanos())
-            .saturating_add(fill_max)
-            .saturating_add(occ_max.as_nanos().saturating_mul(2))
-            .saturating_add(charge_max.as_nanos().saturating_mul(2));
-        let fault_cost = self.kernel.minor_fault_cost().as_nanos();
-        let backlog = fast.backlog(clock).as_nanos().saturating_add(slow.backlog(clock).as_nanos());
-        let headroom =
-            next_deadline.as_nanos().saturating_sub(clock.as_nanos()).saturating_sub(backlog);
-        if headroom == 0 {
-            return 0;
-        }
-        // Strictly-before-deadline budget: the admitted worst case must
-        // leave the clock at most `headroom - 1` past its start.
-        let budget = headroom - 1;
-        let page_table = self.kernel.page_table();
-        let mut total = 0u64;
-        let mut n = 0usize;
-        while n < run.len() {
-            let WorkloadEvent::Access(a) = &run[n] else { break };
-            let vpage = VirtPage::new(vpage_base + a.vpage.index());
-            let cost = if page_table.is_mapped(vpage) {
-                base_cost
-            } else {
-                base_cost.saturating_add(fault_cost)
-            };
-            match total.checked_add(cost) {
-                Some(next) if next <= budget => total = next,
-                _ => break,
-            }
-            n += 1;
-        }
-        n
-    }
-
-    /// Executes the chunk in `scratch.accesses` stage by stage and
-    /// returns the total elapsed time: pass A does all TLB and
-    /// page-table work, pass B drives the cache hierarchy and resolves
-    /// writeback victims, pass P exposes the chunk's events to the
-    /// policy through one [`PolicyBox::on_access_chunk`] dispatch, and
-    /// pass C is a pure timing loop chaining memory traffic and the
-    /// recorded charges on the per-event clock. Produces machine state
-    /// and elapsed time bit-identical to calling [`Machine::step`] per
-    /// access.
-    ///
-    /// Sound only for chunks admitted by [`Machine::chunk_capacity`]
-    /// under a policy with a [`PolicyBox::max_access_charge`] bound:
-    /// such policies never move mappings from their access hook, so the
-    /// early passes see exactly the page table the serial interleaving
-    /// would have produced (modulo the first-touch ordering that
-    /// `scratch.first_touches` restores for writeback victims). Hoisting
-    /// the policy hook ahead of the timing pass is likewise sound
-    /// because stageable hooks mutate only policy-private state and the
-    /// kernel LRU lists — disjoint from the memory node service state
-    /// pass C evolves — and never read `AccessEvent::now`.
-    pub(crate) fn step_chunk(
-        &mut self,
-        start: Nanos,
-        costs: &HotCosts,
-        scratch: &mut ChunkScratch,
-    ) -> Nanos {
-        // Pass A: address translation. TLB state and the page table
-        // evolve in event order, untouched by anything the later
-        // passes do, so running all of it first is order-faithful.
-        let preference = self.policy.alloc_preference();
-        for (j, a) in scratch.accesses.iter().enumerate() {
-            let vpage = a.vpage;
-            let tlb_hit = self.tlb.access(vpage);
-            let mut fixed = costs.cpu_per_access;
-            if !tlb_hit {
-                fixed += costs.tlb_walk;
-                let was_mapped = self.kernel.page_table().is_mapped(vpage);
-                self.kernel
-                    .touch_alloc_preferring(vpage, preference, start)
-                    .expect("simulated machine out of physical memory");
-                if !was_mapped {
-                    fixed += self.kernel.minor_fault_cost();
-                    scratch.first_touches.push((vpage, j));
-                }
-                let _ = self.kernel.page_table_mut().mark_accessed(vpage);
-            }
-            let frame = self.kernel.translate(vpage).expect("page mapped above");
-            scratch.frames.push(frame.index() | if tlb_hit { FRAME_TLB_HIT } else { 0 });
-            scratch.fixed.push(fixed);
-        }
-        // A page can be first-touched at most once per chunk (nothing
-        // unmaps inside a chunk), so the lane sorts into unique keys
-        // for pass B's binary search.
-        scratch.first_touches.sort_unstable_by_key(|&(page, _)| page);
-
-        // Pass B: the cache hierarchy. Virtually indexed, so it
-        // depends only on the access sequence, which is unchanged.
-        // Dirty victims resolve to frames here: the page table no
-        // longer changes after pass A.
-        for (j, a) in scratch.accesses.iter().enumerate() {
-            let line = CacheLine::of_page(
-                neomem_types::PageNum::new(a.vpage.index()),
-                a.line_in_page as u64,
-            );
-            let outcome = self.caches.access(line, a.kind);
-            scratch.fixed[j] += match outcome.level {
-                HitLevel::L1 => costs.l1,
-                HitLevel::L2 => costs.l2,
-                HitLevel::Llc => costs.llc,
-                HitLevel::Memory => Nanos::ZERO,
-            };
-            scratch.frames[j] |= if outcome.level.is_llc_miss() { FRAME_LLC_MISS } else { 0 }
-                | if outcome.traffic.fill.is_some() { FRAME_FILL } else { 0 };
-            let resolved = outcome.traffic.writeback.and_then(|victim| {
-                let victim_vpage = VirtPage::new(victim.page().index());
-                // Serial order: a victim page this chunk first-touched
-                // *after* event `j` was unmapped when `j` ran.
-                let mapped_later = match scratch
-                    .first_touches
-                    .binary_search_by_key(&victim_vpage, |&(page, _)| page)
-                {
-                    Ok(idx) => scratch.first_touches[idx].1 > j,
-                    Err(_) => false,
-                };
-                if mapped_later {
-                    return None;
-                }
-                self.kernel.translate(victim_vpage).ok().map(|frame| (victim_vpage, frame))
-            });
-            scratch.wb_victims.push(resolved);
-        }
-
-        // Pass P: policy exposure. The chunk's events — writeback
-        // before demand for each access, exactly the serial call order
-        // — flatten into one lane consumed by a single dispatch.
-        // Events carry the chunk-start clock: stageable hooks never
-        // read it. Tier lookups happen here, off the timing loop;
-        // access hooks never migrate, so tiers are chunk constants.
-        let noop = self.policy.access_is_noop();
-        let zero_charge = self.policy.max_access_charge() == Some(Nanos::ZERO);
-        let Machine { policy, kernel, .. } = self;
-        if !noop {
-            for (j, a) in scratch.accesses.iter().enumerate() {
-                if let Some((victim_vpage, victim_frame)) = scratch.wb_victims[j] {
-                    scratch.events.push(AccessEvent {
-                        vpage: victim_vpage,
-                        frame: victim_frame,
-                        tier: kernel.memory().tier_of(victim_frame),
-                        kind: neomem_types::AccessKind::Write,
-                        tlb_hit: true,
-                        llc_miss: true,
-                        now: start,
-                    });
-                }
-                let packed = scratch.frames[j];
-                let frame = neomem_types::PageNum::new(packed & FRAME_NUM_MASK);
-                scratch.events.push(AccessEvent {
-                    vpage: a.vpage,
-                    frame,
-                    tier: kernel.memory().tier_of(frame),
-                    kind: a.kind,
-                    tlb_hit: packed & FRAME_TLB_HIT != 0,
-                    llc_miss: packed & FRAME_LLC_MISS != 0,
-                    now: start,
-                });
-            }
-            policy.on_access_chunk(&scratch.events, kernel, &mut scratch.charges);
-        }
-
-        // Pass C: fused timing. Memory service sees the same per-event
-        // clock as the serial path — each event's start is the chunk
-        // start plus everything earlier events took. Policy charges
-        // (zero unless the policy is charged) consume the recorded
-        // lane in event order.
-        debug_assert!(zero_charge || scratch.charges.len() == scratch.events.len());
-        let mut charge_at = 0usize;
-        let mut now = start;
-        let mut total = Nanos::ZERO;
-        for j in 0..scratch.accesses.len() {
-            let mut elapsed = scratch.fixed[j];
-            let packed = scratch.frames[j];
-            if packed & FRAME_FILL != 0 {
-                elapsed += kernel.memory_mut().service(
-                    neomem_types::PageNum::new(packed & FRAME_NUM_MASK),
-                    neomem_types::AccessKind::Read,
-                    now,
-                );
-            }
-            if let Some((_, victim_frame)) = scratch.wb_victims[j] {
-                let _ = kernel.memory_mut().service(
-                    victim_frame,
-                    neomem_types::AccessKind::Write,
-                    now,
-                );
-                if !zero_charge {
-                    elapsed += scratch.charges[charge_at];
-                    charge_at += 1;
-                }
-            }
-            if !zero_charge {
-                elapsed += scratch.charges[charge_at];
-                charge_at += 1;
-            }
-            now += elapsed;
-            total += elapsed;
-        }
-        total
     }
 }
 
@@ -1122,62 +749,5 @@ mod tests {
         let report = Simulation::new(config, w, Box::new(FirstTouchPolicy::new())).unwrap().run();
         assert!(report.runtime >= Nanos::from_millis(1));
         assert!(report.runtime < Nanos::from_millis(100), "should stop promptly");
-    }
-
-    #[test]
-    fn writeback_heavy_chunk_resolves_victims_like_serial() {
-        // Regression for pass B's first-touch victim resolution: with
-        // tiny caches and an all-write pattern, every chunk both
-        // first-touches pages and evicts dirty lines of pages mapped
-        // earlier in the same chunk, so the sorted-lane binary search
-        // runs hot on both its hit (same-chunk first touch) and miss
-        // (prior-chunk page) outcomes. Serial per-event stepping is the
-        // oracle; machine state and elapsed time must match exactly.
-        let config = SimConfig {
-            caches: neomem_cache::HierarchyConfig::tiny(),
-            ..SimConfig::quick(96, 2)
-        };
-        let costs = HotCosts::of(&config);
-        let build = || Machine::new(config.clone(), FirstTouchPolicy::new().into()).unwrap();
-        let mut serial = build();
-        let mut staged = build();
-
-        // Stride-7 writes over 96 pages × 64 lines: far more distinct
-        // dirty lines than the tiny LLC holds, so evictions with dirty
-        // victims are continuous from the first chunk on.
-        let accesses: Vec<Access> = (0..2048u64)
-            .map(|i| {
-                Access::new(
-                    VirtPage::new((i * 7) % 96),
-                    (i % 64) as u8,
-                    neomem_types::AccessKind::Write,
-                )
-            })
-            .collect();
-
-        let mut serial_clock = Nanos::ZERO;
-        for &a in &accesses {
-            serial_clock += serial.step(a, serial_clock, &costs);
-        }
-
-        let mut scratch = ChunkScratch::new();
-        let mut staged_clock = Nanos::ZERO;
-        let mut same_chunk_victims = false;
-        for chunk in accesses.chunks(256) {
-            scratch.begin();
-            scratch.accesses.extend_from_slice(chunk);
-            staged_clock += staged.step_chunk(staged_clock, &costs, &mut scratch);
-            same_chunk_victims |= !scratch.first_touches.is_empty()
-                && scratch.wb_victims.iter().any(Option::is_some);
-        }
-
-        assert!(same_chunk_victims, "corpus must hit the same-chunk first-touch path");
-        assert!(staged.caches.stats().llc.writebacks > 0, "chunk must be writeback-heavy");
-        assert_eq!(serial_clock, staged_clock, "elapsed time diverged");
-        assert_eq!(
-            format!("{:?}", serial.snapshot()),
-            format!("{:?}", staged.snapshot()),
-            "machine state diverged"
-        );
     }
 }

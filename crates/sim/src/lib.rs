@@ -38,7 +38,7 @@ mod report;
 mod sched;
 pub mod snapshot;
 
-pub use config::{CacheLatencies, PipelineMode, SimConfig};
+pub use config::{CacheLatencies, SimConfig};
 pub use machine::{MachineDescription, MachinePreset, NeoProfKnobs, TierSizing};
 pub use corun::{
     jain_fairness, CoRunConfig, CoRunContention, CoRunReport, CoRunSimulation, OccupancyPoint,

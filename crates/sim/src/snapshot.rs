@@ -31,7 +31,7 @@ use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{Error, Nanos, Result};
 use neomem_workloads::Workload;
 
-use crate::config::{PipelineMode, SimConfig};
+use crate::config::SimConfig;
 use crate::corun::CoRunConfig;
 use crate::report::{MarkerRecord, TimelinePoint};
 
@@ -73,8 +73,7 @@ pub(crate) fn fingerprint_str(s: &str) -> u64 {
 pub(crate) fn sim_fingerprint(config: &SimConfig) -> u64 {
     let mut c = config.clone();
     c.batch_size = 0;
-    c.pipeline = PipelineMode::default();
-    fingerprint_str(&strip_pipeline(&format!("{c:?}")))
+    fingerprint_str(&format!("{c:?}"))
 }
 
 /// The co-run counterpart of [`sim_fingerprint`]: additionally covers
@@ -82,16 +81,7 @@ pub(crate) fn sim_fingerprint(config: &SimConfig) -> u64 {
 pub(crate) fn corun_fingerprint(config: &CoRunConfig) -> u64 {
     let mut c = config.clone();
     c.sim.batch_size = 0;
-    c.sim.pipeline = PipelineMode::default();
-    fingerprint_str(&strip_pipeline(&format!("{c:?}")))
-}
-
-/// Removes the (normalised) pipeline-mode field from a hashed config
-/// Debug string. The mode is host-side execution strategy, not machine
-/// shape — both modes produce bit-identical results — and stripping it
-/// keeps version-1 fingerprints, which predate the field, restorable.
-fn strip_pipeline(debug: &str) -> String {
-    debug.replace(", pipeline: Staged", "")
+    fingerprint_str(&format!("{c:?}"))
 }
 
 /// Wraps `state` in the versioned snapshot envelope.
@@ -409,5 +399,26 @@ mod tests {
     fn fingerprint_is_stable_and_discriminating() {
         assert_eq!(fingerprint_str("abc"), fingerprint_str("abc"));
         assert_ne!(fingerprint_str("abc"), fingerprint_str("abd"));
+    }
+
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        // A changed fingerprint turns every stored warm-start snapshot
+        // into a silent cold run, so a config refactor must leave these
+        // values alone unless it deliberately breaks snapshot reuse.
+        use neomem_workloads::{TenantMix, WorkloadKind};
+        let mix = TenantMix::builder()
+            .tenant(WorkloadKind::Gups, 2048, 1)
+            .tenant(WorkloadKind::Silo, 1024, 2)
+            .build()
+            .unwrap();
+        assert_eq!(
+            [
+                sim_fingerprint(&SimConfig::quick(4096, 2)),
+                sim_fingerprint(&SimConfig::large(65_536, 2)),
+                corun_fingerprint(&CoRunConfig::quick(&mix, 2)),
+            ],
+            [3_847_118_181_705_120_135, 695_307_852_040_578_701, 17_231_382_258_009_840_942]
+        );
     }
 }

@@ -126,25 +126,7 @@ impl HotPageDetector {
     pub fn observe(&mut self, page: DevicePage) -> Option<DevicePage> {
         self.stats.observed += 1;
         let estimate = self.sketch.update(page);
-        if estimate <= self.threshold {
-            return None;
-        }
-        // Hot page checker fired; consult the hot-page filter.
-        let duplicate = match &mut self.bloom {
-            None => self.sketch.test_and_set_hot(page),
-            Some(bloom) => bloom.test_and_set(page),
-        };
-        if duplicate {
-            self.stats.filtered_duplicates += 1;
-            return None;
-        }
-        if self.buffer.len() >= self.capacity {
-            self.stats.buffer_overflows += 1;
-            return None;
-        }
-        self.stats.detected += 1;
-        self.buffer.push(page);
-        Some(page)
+        self.report(page, estimate).then_some(page)
     }
 
     /// Processes a batch of observed page accesses; returns how many
@@ -154,7 +136,7 @@ impl HotPageDetector {
     /// ([`CmSketch::update_batch`], bit-identical counters and per-page
     /// estimates to the per-page schedule); the threshold compare, the
     /// duplicate filter and the buffer push then run per page in batch
-    /// order — exactly the tail of [`Self::observe`]. The sketch update
+    /// order — the same tail [`Self::observe`] runs. The sketch update
     /// is the only mutation `observe`'s head makes, so detector state
     /// and the report sequence match per-page observation bit for bit.
     pub fn observe_batch(&mut self, pages: &[DevicePage]) -> u64 {
@@ -163,27 +145,35 @@ impl HotPageDetector {
         self.sketch.update_batch(pages, &mut estimates);
         let mut reported = 0;
         for (&page, &estimate) in pages.iter().zip(&estimates) {
-            if estimate <= self.threshold {
-                continue;
-            }
-            let duplicate = match &mut self.bloom {
-                None => self.sketch.test_and_set_hot(page),
-                Some(bloom) => bloom.test_and_set(page),
-            };
-            if duplicate {
-                self.stats.filtered_duplicates += 1;
-                continue;
-            }
-            if self.buffer.len() >= self.capacity {
-                self.stats.buffer_overflows += 1;
-                continue;
-            }
-            self.stats.detected += 1;
-            self.buffer.push(page);
-            reported += 1;
+            reported += u64::from(self.report(page, estimate));
         }
         self.batch_estimates = estimates;
         reported
+    }
+
+    /// The pipeline after the sketch update: hot-page checker, then the
+    /// duplicate filter, then the bounded output buffer. Returns whether
+    /// `page` (whose updated estimate is `estimate`) was newly reported.
+    #[inline]
+    fn report(&mut self, page: DevicePage, estimate: u16) -> bool {
+        if estimate <= self.threshold {
+            return false;
+        }
+        let duplicate = match &mut self.bloom {
+            None => self.sketch.test_and_set_hot(page),
+            Some(bloom) => bloom.test_and_set(page),
+        };
+        if duplicate {
+            self.stats.filtered_duplicates += 1;
+            return false;
+        }
+        if self.buffer.len() >= self.capacity {
+            self.stats.buffer_overflows += 1;
+            return false;
+        }
+        self.stats.detected += 1;
+        self.buffer.push(page);
+        true
     }
 
     /// Number of hot pages waiting in the output buffer

@@ -155,6 +155,19 @@ fn scenario_diagnostics_are_pinned() {
             ),
             "line 8: unknown section [falut] in a scenario file (did you mean [fault]?)",
         ),
+        // Footprints below the generators' minimum: the run would
+        // panic building the tenant, and `check` building the phase.
+        (
+            format!("{base}[tenant]\nworkload = silo\nrss_pages = 32\nseed = 1\n"),
+            "line 6: key \"rss_pages\" is 32, want at least 64 in [tenant]",
+        ),
+        (
+            format!(
+                "{base}[tenant]\nworkload = silo\nrss_pages = 1024\nseed = 1\n\
+                 [phase]\ntenant = 0\nworkload = silo\nrss_pages = 32\nevents = 1000\n"
+            ),
+            "line 11: key \"rss_pages\" is 32, want at least 64 in [phase]",
+        ),
     ];
     for (text, want) in cases {
         assert_eq!(err(&text), want, "input:\n{text}");

@@ -5,7 +5,7 @@
 //! never panics.
 
 use neomem::prelude::*;
-use neomem::types::json::Json;
+use neomem::types::json::{hex_from_u64s, Json};
 
 const RSS_PAGES: u64 = 1024;
 const ACCESSES: u64 = 24_000;
@@ -297,6 +297,81 @@ fn scenario_with_faults_round_trips_mid_fault() {
     }
 }
 
+// ---- idle gaps ----------------------------------------------------
+
+/// FNV-1a over a report's `Debug` text: a short pin for "same bytes".
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Tenant 0 departs at 1 ms and returns at 3 ms; tenant 1 first
+/// arrives at 3.5 ms. Nobody runs from 1 ms to 3 ms, so the engine
+/// idles across the gap, and both fault windows open inside it.
+fn idle_gap_sim(policy: PolicyKind) -> CoRunSimulation {
+    let mix = TenantMix::builder()
+        .tenant(WorkloadKind::Gups, 1024, 7)
+        .tenant(WorkloadKind::Silo, 1024, 8)
+        .build()
+        .expect("valid mix");
+    let scenario = Scenario::builder(mix)
+        .depart(0, Nanos::from_millis(1))
+        .arrive(0, Nanos::from_millis(3))
+        .arrive(1, Nanos::from_micros(3500))
+        .build()
+        .expect("valid scenario");
+    let mut sim = SimConfig::quick(2048, 2);
+    sim.max_time = Some(Nanos::from_millis(6));
+    sim.faults = FaultPlan::builder()
+        .outage(Nanos::from_micros(1500), Nanos::from_millis(1))
+        .capacity_loss(Nanos::from_millis(2), Nanos::from_millis(2), 32)
+        .build()
+        .expect("valid plan");
+    let config = CoRunConfig { sim, interleave_quantum: 64, fast_share_cap: None };
+    let policy = corun_policy(policy, &config);
+    CoRunSimulation::with_scenario(config, &scenario, policy).expect("valid idle-gap scenario")
+}
+
+#[test]
+fn idle_gaps_fire_faults_ticks_and_samples() {
+    // The idle jump services the due fault edges, the policy tick and
+    // the timeline sample once, and a cut inside the gap resumes to the
+    // same bytes. The digests pin the reports themselves.
+    for (policy, digest) in [
+        (PolicyKind::NeoMem, 0x0b20_5d30_1e6d_634c_u64),
+        (PolicyKind::NeoMemContentionAware, 0x8cc8_b607_7221_982c),
+        (PolicyKind::FirstTouch, 0x346a_c5c4_571f_eaba),
+    ] {
+        let straight = idle_gap_sim(policy).run();
+        assert_eq!(straight.epochs.len(), 3, "{policy:?}: leave, return, late arrival");
+        let d = straight.combined.degradation.expect("fault plan must produce metrics");
+        assert_eq!(d.fault_events, 2, "{policy:?}");
+        // Epochs are ordered by (tenant, epoch): tenant 0's first
+        // residency ends where the gap starts, its second starts where
+        // the gap ends.
+        let (gap_start, gap_end) = (straight.epochs[0].end, straight.epochs[1].start);
+        assert!(gap_end >= Nanos::from_millis(3), "{policy:?}: gap ends at the return");
+        let sample = straight
+            .combined
+            .timeline
+            .iter()
+            .find(|p| p.at > gap_start && p.at <= gap_end)
+            .unwrap_or_else(|| panic!("{policy:?}: no timeline sample inside the idle gap"));
+        assert_eq!(sample.accesses, straight.epochs[0].accesses, "nobody ran in the gap");
+        assert!(
+            straight.contention.occupancy_timeline.iter().any(|o| o.at == sample.at),
+            "{policy:?}: the gap sample has no occupancy point at the same instant"
+        );
+
+        let snap = idle_gap_sim(policy).snapshot_at(Nanos::from_millis(2));
+        let resumed =
+            idle_gap_sim(policy).run_from(&snap).expect("restore from an idle-gap snapshot");
+        let text = format!("{straight:?}");
+        assert_eq!(format!("{resumed:?}"), text, "{policy:?}: idle-gap resume diverged");
+        assert_eq!(fnv1a(&text), digest, "{policy:?}: report digest {:#018x}", fnv1a(&text));
+    }
+}
+
 // ---- hostile input ------------------------------------------------
 
 fn valid_snapshot() -> Json {
@@ -363,6 +438,65 @@ fn hostile_snapshots_error_instead_of_panicking() {
     let mut empty_state = snap.clone();
     set_field(&mut empty_state, "state", Json::obj([] as [(&str, Json); 0]));
     assert!(restore(&empty_state).is_err());
+}
+
+/// The value at `path` inside a snapshot: one object key or array
+/// index per step.
+fn at_path<'a>(snap: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(snap, |node, key| match node {
+        Json::Obj(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+        }
+        Json::Arr(items) => &mut items[key.parse::<usize>().expect("array index")],
+        _ => panic!("{key}: not an object or array"),
+    })
+}
+
+#[test]
+fn hostile_corun_snapshots_error_instead_of_panicking() {
+    let straight = scenario_sim(PolicyKind::NeoMem).run();
+    let cut = Nanos::new(straight.combined.runtime.as_nanos() / 2);
+    let snap = scenario_sim(PolicyKind::NeoMem).snapshot_at(cut);
+    let restore = |snap: &Json| scenario_sim(PolicyKind::NeoMem).run_from(snap);
+    restore(&snap).expect("the pristine co-run snapshot must restore");
+    let with = |path: &[&str], value: Json| {
+        let mut hostile = snap.clone();
+        *at_path(&mut hostile, path) = value;
+        hostile
+    };
+
+    // A single-tenant snapshot offered to a co-run, and a co-run
+    // snapshot relabelled as single-tenant.
+    assert!(restore(&valid_snapshot()).is_err());
+    assert!(restore(&with(&["kind"], Json::Str("sim".to_string()))).is_err());
+
+    // One lane short of the mix.
+    let mut short = snap.clone();
+    let Json::Arr(lanes) = at_path(&mut short, &["state", "lanes"]) else { panic!("lanes") };
+    lanes.pop();
+    assert!(restore(&short).is_err(), "lane-count mismatch");
+
+    // Zero scheduler weights: every slice would be empty, so the clock
+    // would never advance.
+    let zero_weights = Json::Str(hex_from_u64s(&[0, 0]));
+    assert!(restore(&with(&["state", "scheduler", "weights"], zero_weights)).is_err());
+
+    // An open epoch mark above its lane's counters, and an epoch
+    // ordinal at the top of its range: closing the epoch would
+    // underflow or overflow.
+    for key in ["accesses", "slow_tier", "evicted"] {
+        let mark = ["state", "loop", "open_epochs", "0", key];
+        assert!(restore(&with(&mark, Json::U64(u64::MAX))).is_err(), "oversized mark {key}");
+    }
+    let ordinals = Json::Str(hex_from_u64s(&[u64::from(u32::MAX), 0]));
+    assert!(restore(&with(&["state", "loop", "epoch_ordinal"], ordinals)).is_err());
+
+    // Gutted loop and scheduler state.
+    for part in ["loop", "scheduler"] {
+        assert!(restore(&with(&["state", part], Json::Null)).is_err(), "null {part}");
+        let empty = Json::obj([] as [(&str, Json); 0]);
+        assert!(restore(&with(&["state", part], empty)).is_err(), "empty {part}");
+    }
 }
 
 #[test]

@@ -30,5 +30,5 @@ mod tiered;
 
 pub use allocator::FrameAllocator;
 pub use meter::{BandwidthMeter, BandwidthSample};
-pub use node::{MemoryNode, NodeConfig};
+pub use node::{MemoryNode, NodeConfig, NodeStats};
 pub use tiered::{TieredMemory, TieredMemoryConfig};

@@ -28,9 +28,9 @@
 //! `--threads` value.
 //!
 //! Per-access semantics are shared with the single-tenant engine (the
-//! same internal machine step), so a one-tenant co-run is the same
-//! machine as a classic [`crate::Simulation`] — only the page-id
-//! remapping and the slice accounting differ.
+//! same internal event loop and machine step), so a one-tenant co-run
+//! is the same machine as a classic [`crate::Simulation`] — only the
+//! page-id remapping and the slice accounting differ.
 //!
 //! # Attribution
 //!
@@ -45,14 +45,16 @@
 //! tenant's pages and promotes two of them back counts one; the
 //! number is a lower bound on gross cross-tenant demotions.
 
+use neomem_kernel::KernelStats;
+use neomem_mem::NodeStats;
 use neomem_policies::{PolicyBox, TenantLayout, TieringPolicy};
 use neomem_types::json::{hex_from_u64s, Json};
-use neomem_types::{Error, Nanos, Result, Tier, VirtPage};
-use neomem_workloads::{Scenario, TenantMix, Workload, WorkloadEvent};
+use neomem_types::{Error, Nanos, Result, Tier};
+use neomem_workloads::{Scenario, TenantMix, Workload};
 
 use crate::config::SimConfig;
-use crate::engine::{earliest_deadline, HotCosts, Machine};
-use crate::report::{MarkerRecord, RunReport, TimelinePoint};
+use crate::engine::{drive, service_deadlines, LoopState, Machine, Stop};
+use crate::report::RunReport;
 use crate::sched::{DynamicSchedule, SchedulerOp, SliceScheduler, StaticRoundRobin};
 use crate::snapshot;
 
@@ -119,8 +121,6 @@ struct Lane {
     weight: u32,
     rss_pages: u64,
     seed: u64,
-    /// Reused event buffer (one per lane so streams never mix).
-    buf: Vec<WorkloadEvent>,
     // Accumulated attribution.
     accesses: u64,
     active_time: Nanos,
@@ -139,7 +139,51 @@ struct Lane {
     occupancy_sum: u64,
 }
 
+/// The shared machine counters a tenant is charged for: slow- and
+/// fast-tier traffic plus the kernel's migration and fault counts.
+/// Slices and departures run one tenant at a time, so the difference of
+/// two readings around one belongs to that tenant alone.
+#[derive(Clone, Copy)]
+struct Counters {
+    slow: NodeStats,
+    fast: NodeStats,
+    kernel: KernelStats,
+}
+
+impl Counters {
+    fn of(machine: &Machine) -> Self {
+        let memory = machine.kernel.memory();
+        Self {
+            slow: memory.node(Tier::Slow).stats(),
+            fast: memory.node(Tier::Fast).stats(),
+            kernel: machine.kernel.stats(),
+        }
+    }
+
+    /// Whether fast-tier occupancy may have moved since `before`: it
+    /// only moves through allocations, promotions and demotions.
+    fn occupancy_moved(&self, before: &Self) -> bool {
+        self.kernel.promotions != before.kernel.promotions
+            || self.kernel.demotions != before.kernel.demotions
+            || self.kernel.minor_faults != before.kernel.minor_faults
+    }
+}
+
 impl Lane {
+    /// Charges this lane the counter deltas from `before` to `after`
+    /// and `elapsed` virtual time.
+    fn charge(&mut self, before: &Counters, after: &Counters, elapsed: Nanos) {
+        self.active_time += elapsed;
+        self.slow_reads += after.slow.reads - before.slow.reads;
+        self.slow_writes += after.slow.writes - before.slow.writes;
+        self.fast_reads += after.fast.reads - before.fast.reads;
+        self.fast_writes += after.fast.writes - before.fast.writes;
+        self.promotions += after.kernel.promotions - before.kernel.promotions;
+        self.demotions += after.kernel.demotions - before.kernel.demotions;
+        self.ping_pongs += after.kernel.ping_pongs - before.kernel.ping_pongs;
+        self.minor_faults += after.kernel.minor_faults - before.kernel.minor_faults;
+    }
+
     /// Workload-generator events this lane has consumed: every event
     /// is either an access or a marker, and a co-run cut lands only at
     /// slice boundaries, where every pulled event has been processed.
@@ -292,7 +336,6 @@ impl CoRunSimulation {
                 weight: spec.weight,
                 rss_pages: spec.rss_pages,
                 seed: spec.seed,
-                buf: Vec::new(),
                 accesses: 0,
                 active_time: Nanos::ZERO,
                 slow_reads: 0,
@@ -318,13 +361,6 @@ impl CoRunSimulation {
             scheduler,
             initially_active: active,
         })
-    }
-
-    /// Counts each tenant's fast-tier pages into `out`, through the
-    /// same [`TenantLayout::count_fast_pages`] NeoMem's fairness gate
-    /// uses — one counting rule, shared.
-    fn scan_occupancy(machine: &Machine, layout: &TenantLayout, out: &mut [u64]) {
-        layout.count_fast_pages(&machine.kernel, out);
     }
 
     /// Demotes every fast-resident page of `lane` through the normal
@@ -458,7 +494,7 @@ impl CoRunSimulation {
         self.layout = layout;
         self.machine.restore(state_json.req("machine")?)?;
         self.scheduler.restore_state(state_json.req("scheduler")?)?;
-        let mut state = CoRunState::restore(state_json.req("loop")?, self.lanes.len())?;
+        let mut state = CoRunState::restore(state_json.req("loop")?, &self.lanes)?;
         for lane in &mut self.lanes {
             let consumed = lane.events_consumed();
             snapshot::fast_forward(lane.workload.as_mut(), consumed);
@@ -471,17 +507,10 @@ impl CoRunSimulation {
     fn fresh_state(&self) -> CoRunState {
         let tenant_count = self.lanes.len();
         let mut occ_before = vec![0u64; tenant_count];
-        Self::scan_occupancy(&self.machine, &self.layout, &mut occ_before);
+        self.layout.count_fast_pages(&self.machine.kernel, &mut occ_before);
         CoRunState {
-            clock: Nanos::ZERO,
-            accesses: 0,
-            next_tick: Nanos::ZERO,
-            next_sample: self.machine.config.sample_interval,
-            timeline: Vec::new(),
-            markers: Vec::new(),
+            core: LoopState::fresh(&self.machine.config),
             occupancy_timeline: Vec::new(),
-            window_accesses: 0,
-            window_start: Nanos::ZERO,
             occ_before,
             rounds: 0,
             slices: 0,
@@ -508,35 +537,21 @@ impl CoRunSimulation {
     /// run re-enters with bit-identical state.
     fn run_core(&mut self, state: &mut CoRunState, cut: Option<Nanos>) {
         let limit = self.machine.config.max_time;
-        let costs = HotCosts::of(&self.machine.config);
-        let batch = self.machine.config.batch_size.max(1);
         let max_accesses = self.machine.config.max_accesses;
-        let tick_quantum = self.machine.config.tick_quantum;
-        let sample_interval = self.machine.config.sample_interval;
-        let tenant_count = self.lanes.len();
-
-        let mut shootdowns: Vec<VirtPage> = Vec::new();
-        // At every loop top `next_deadline` equals the earliest of the
-        // current tick/sample/stop deadlines (every update site
-        // re-establishes it), so recomputing it here restores the
-        // mid-run value exactly.
-        let mut next_deadline = earliest_deadline(state.next_tick, state.next_sample, limit)
-            .min(self.machine.faults.deadline());
-
         // Slice-boundary occupancy scans: `state.occ_before` holds the
         // scan entering the current slice, `occ_after` is the fresh
         // scan at its end (and becomes the next slice's `before`).
-        let mut occ_after = vec![0u64; tenant_count];
-        let mut stopped = false;
+        let mut occ_after = vec![0u64; self.lanes.len()];
 
-        'run: loop {
-            if state.accesses >= max_accesses || limit.is_some_and(|l| state.clock >= l) {
+        loop {
+            let clock = state.core.clock;
+            if state.core.accesses >= max_accesses || limit.is_some_and(|l| clock >= l) {
                 break;
             }
-            if cut.is_some_and(|c| state.clock >= c) {
+            if cut.is_some_and(|c| clock >= c) {
                 return;
             }
-            let (lane_idx, slice_events) = match self.scheduler.next(state.clock) {
+            let (lane_idx, slice_events) = match self.scheduler.next(clock) {
                 SchedulerOp::Done => break,
                 SchedulerOp::Slice { lane, events, new_round } => {
                     if new_round {
@@ -547,55 +562,28 @@ impl CoRunSimulation {
                 }
                 SchedulerOp::Admit { lane } => {
                     self.machine.policy.on_tenant_arrival(lane);
-                    state.open_epochs[lane] =
-                        Some(EpochMark::open(state.clock, &self.lanes[lane]));
+                    state.open_epochs[lane] = Some(EpochMark::open(clock, &self.lanes[lane]));
                     continue;
                 }
                 SchedulerOp::Retire { lane } => {
                     self.machine.policy.on_tenant_departure(lane);
                     // Reclaim through the normal eviction path and
-                    // attribute the deltas (demotions, node traffic,
-                    // time) to the departing tenant itself.
-                    let slow_before =
-                        self.machine.kernel.memory().node(Tier::Slow).stats();
-                    let fast_before =
-                        self.machine.kernel.memory().node(Tier::Fast).stats();
-                    let kernel_before = self.machine.kernel.stats();
-                    let reclaim = Self::reclaim_fast_pages(
-                        &mut self.machine,
-                        &self.layout,
-                        lane,
-                        state.clock,
-                    );
-                    state.clock += reclaim;
-                    let slow = self.machine.kernel.memory().node(Tier::Slow).stats();
-                    let fast = self.machine.kernel.memory().node(Tier::Fast).stats();
-                    let kernel = self.machine.kernel.stats();
-                    {
-                        let l = &mut self.lanes[lane];
-                        l.active_time += reclaim;
-                        l.slow_reads += slow.reads - slow_before.reads;
-                        l.slow_writes += slow.writes - slow_before.writes;
-                        l.fast_reads += fast.reads - fast_before.reads;
-                        l.fast_writes += fast.writes - fast_before.writes;
-                        l.promotions += kernel.promotions - kernel_before.promotions;
-                        l.demotions += kernel.demotions - kernel_before.demotions;
-                        l.ping_pongs += kernel.ping_pongs - kernel_before.ping_pongs;
-                        l.minor_faults += kernel.minor_faults - kernel_before.minor_faults;
-                    }
+                    // charge the deltas (demotions, node traffic, time)
+                    // to the departing tenant itself.
+                    let before = Counters::of(&self.machine);
+                    let reclaim =
+                        Self::reclaim_fast_pages(&mut self.machine, &self.layout, lane, clock);
+                    state.core.clock += reclaim;
+                    self.lanes[lane].charge(&before, &Counters::of(&self.machine), reclaim);
                     // The occupancy baseline moved: rescan so the next
                     // slice's cross-tenant accounting cannot blame its
                     // tenant for the departure reclaim.
-                    Self::scan_occupancy(&self.machine, &self.layout, &mut state.occ_before);
+                    self.layout.count_fast_pages(&self.machine.kernel, &mut state.occ_before);
                     if let Some(mark) = state.open_epochs[lane].take() {
-                        epochs_push_closed(
-                            &mut state.epochs,
-                            mark,
-                            lane,
-                            &mut state.epoch_ordinal,
-                            state.clock,
-                            &self.lanes[lane],
-                        );
+                        let end = state.core.clock;
+                        let epoch =
+                            mark.close(lane, &mut state.epoch_ordinal, end, &self.lanes[lane]);
+                        state.epochs.push(epoch);
                     }
                     continue;
                 }
@@ -622,204 +610,73 @@ impl CoRunSimulation {
                 }
                 SchedulerOp::AdvanceTo(target) => {
                     // Idle gap (no runnable tenant until the next
-                    // timeline event): jump the clock in one go, firing
-                    // the due policy tick and timeline sample once in
-                    // engine order so daemons stay alive across it.
-                    if target > state.clock {
-                        state.clock = target;
-                    }
-                    let mut ticked = false;
-                    // Fault edges fire first, exactly as in the slice
-                    // slow path; a capacity-loss edge migrates pages,
-                    // so it forces the same baseline rescan a tick
-                    // does.
-                    if state.clock >= self.machine.faults.deadline() {
-                        state.clock += self.machine.fault_tick(state.clock, state.accesses);
-                        ticked = true;
-                    }
-                    if state.clock >= state.next_tick {
-                        state.clock += self.machine.policy_tick(state.clock, &mut shootdowns);
-                        state.next_tick = state.clock + tick_quantum;
-                        ticked = true;
-                    }
-                    if state.clock >= state.next_sample {
-                        state.timeline.push(self.machine.sample(
-                            state.clock,
-                            state.accesses,
-                            state.window_accesses,
-                            state.window_start,
-                        ));
-                        let mut fast_pages = vec![0u64; tenant_count];
-                        Self::scan_occupancy(&self.machine, &self.layout, &mut fast_pages);
-                        state
-                            .occupancy_timeline
-                            .push(OccupancyPoint { at: state.clock, fast_pages });
-                        state.window_accesses = 0;
-                        state.window_start = state.clock;
-                        state.next_sample = state.clock + sample_interval;
-                    }
-                    if ticked {
-                        // The idle-gap tick may have migrated pages:
+                    // timeline event): jump the clock in one go and
+                    // service what is due once, so daemons stay alive
+                    // across it.
+                    state.core.clock = clock.max(target);
+                    let mut on_sample =
+                        record_occupancy(&self.layout, &mut state.occupancy_timeline);
+                    if service_deadlines(&mut self.machine, &mut state.core, &mut on_sample) {
+                        // A fault edge or tick may have migrated pages:
                         // rescan the baseline so the next slice's
                         // tenant isn't blamed for occupancy that moved
                         // while nobody ran.
-                        Self::scan_occupancy(&self.machine, &self.layout, &mut state.occ_before);
+                        self.layout.count_fast_pages(&self.machine.kernel, &mut state.occ_before);
                     }
-                    next_deadline = earliest_deadline(state.next_tick, state.next_sample, limit)
-                        .min(self.machine.faults.deadline());
                     continue;
                 }
             };
-            {
-                let clock_before = state.clock;
-                let accesses_before = state.accesses;
-                let slow_before = self.machine.kernel.memory().node(Tier::Slow).stats();
-                let fast_before = self.machine.kernel.memory().node(Tier::Fast).stats();
-                let kernel_before = self.machine.kernel.stats();
 
-                // The slice: pull this tenant's events through its own
-                // buffer in batch_size chunks and drive them through
-                // the shared machine. The checks mirror the
-                // single-tenant engine exactly (tick, sample, stop).
-                let mut produced = 0usize;
-                // Move the lane's buffer out so the event loop can
-                // borrow the machine and the lane counters freely.
-                let mut buf = std::mem::take(&mut self.lanes[lane_idx].buf);
-                let base = self.lanes[lane_idx].base;
-                'slice: while produced < slice_events && state.accesses < max_accesses {
-                    // Events yield at most one access each, so capping
-                    // at the remaining access budget never overshoots.
-                    let n = (slice_events - produced)
-                        .min(batch)
-                        .min((max_accesses - state.accesses) as usize);
-                    buf.clear();
-                    self.lanes[lane_idx].workload.fill_events(&mut buf, n);
-                    produced += n;
-                    for event in &buf {
-                        let access = match *event {
-                            WorkloadEvent::Access(mut access) => {
-                                // Relocate into the tenant's namespace.
-                                access.vpage = VirtPage::new(base + access.vpage.index());
-                                access
-                            }
-                            WorkloadEvent::Marker(m) => {
-                                self.lanes[lane_idx].markers += 1;
-                                state.markers.push(MarkerRecord {
-                                    at: state.clock,
-                                    id: m.id,
-                                    label: m.label,
-                                });
-                                continue;
-                            }
-                        };
-                        state.clock += self.machine.step(access, state.clock, &costs);
-                        state.accesses += 1;
-                        state.window_accesses += 1;
-
-                        if state.clock < next_deadline {
-                            continue;
-                        }
-
-                        // Fault edges fire first: the hardware event
-                        // precedes the daemon's reaction at the same
-                        // instant. Empty plans never pass this guard.
-                        if state.clock >= self.machine.faults.deadline() {
-                            state.clock +=
-                                self.machine.fault_tick(state.clock, state.accesses);
-                        }
-
-                        // Policy tick.
-                        if state.clock >= state.next_tick {
-                            state.clock +=
-                                self.machine.policy_tick(state.clock, &mut shootdowns);
-                            state.next_tick = state.clock + tick_quantum;
-                        }
-
-                        // Timeline sample, plus the co-run occupancy
-                        // snapshot keyed to the same timestamp.
-                        if state.clock >= state.next_sample {
-                            state.timeline.push(self.machine.sample(
-                                state.clock,
-                                state.accesses,
-                                state.window_accesses,
-                                state.window_start,
-                            ));
-                            let mut fast_pages = vec![0u64; tenant_count];
-                            Self::scan_occupancy(&self.machine, &self.layout, &mut fast_pages);
-                            state
-                                .occupancy_timeline
-                                .push(OccupancyPoint { at: state.clock, fast_pages });
-                            state.window_accesses = 0;
-                            state.window_start = state.clock;
-                            state.next_sample = state.clock + sample_interval;
-                        }
-
-                        // Simulated-time stop: the slice accounting
-                        // below must still run, so leave the slice
-                        // loops and stop the round loop afterwards.
-                        if limit.is_some_and(|l| state.clock >= l) {
-                            stopped = true;
-                            break 'slice;
-                        }
-                        next_deadline =
-                            earliest_deadline(state.next_tick, state.next_sample, limit)
-                                .min(self.machine.faults.deadline());
-                    }
+            // The slice: this tenant's events, relocated into its
+            // namespace, through the one event loop.
+            let before = Counters::of(&self.machine);
+            let accesses_before = state.core.accesses;
+            let markers_before = state.core.markers.len();
+            let lane = &mut self.lanes[lane_idx];
+            let stop = drive(
+                &mut self.machine,
+                lane.workload.as_mut(),
+                lane.base,
+                slice_events as u64,
+                &mut state.core,
+                None,
+                record_occupancy(&self.layout, &mut state.occupancy_timeline),
+            );
+            // Attribute the slice deltas to the tenant that ran.
+            let after = Counters::of(&self.machine);
+            lane.accesses += state.core.accesses - accesses_before;
+            lane.markers += (state.core.markers.len() - markers_before) as u64;
+            lane.charge(&before, &after, state.core.clock.saturating_sub(clock));
+            // A slice that neither allocated nor migrated keeps the
+            // previous scan: most steady-state slices skip the
+            // O(fast-capacity) rmap walk entirely.
+            if after.occupancy_moved(&before) {
+                self.layout.count_fast_pages(&self.machine.kernel, &mut occ_after);
+            } else {
+                occ_after.copy_from_slice(&state.occ_before);
+            }
+            // Cross-tenant evictions: the net fast-tier occupancy idle
+            // tenants lost while this slice ran.
+            let mut lost_total = 0u64;
+            for (j, &occ) in occ_after.iter().enumerate() {
+                self.lanes[j].occupancy_sum += occ;
+                if j != lane_idx && occ < state.occ_before[j] {
+                    let lost = state.occ_before[j] - occ;
+                    state.cross_tenant_evictions += lost;
+                    lost_total += lost;
+                    self.lanes[j].evicted_by_others += lost;
+                    self.lanes[lane_idx].evictions_caused += lost;
                 }
-                self.lanes[lane_idx].buf = buf;
+            }
+            if lost_total > 0 {
+                // Feed the signal to contention-aware policies (a
+                // no-op for everything else — the default hook).
+                self.machine.policy.note_cross_tenant_evictions(lane_idx, lost_total);
+            }
+            std::mem::swap(&mut state.occ_before, &mut occ_after);
 
-                // Attribute the slice deltas to the tenant that ran.
-                let slow = self.machine.kernel.memory().node(Tier::Slow).stats();
-                let fast = self.machine.kernel.memory().node(Tier::Fast).stats();
-                let kernel = self.machine.kernel.stats();
-                // Fast-tier occupancy only moves through allocations,
-                // promotions and demotions, so a slice without any of
-                // those keeps the previous scan — most steady-state
-                // slices skip the O(fast-capacity) rmap walk entirely.
-                let occupancy_moved = kernel.promotions != kernel_before.promotions
-                    || kernel.demotions != kernel_before.demotions
-                    || kernel.minor_faults != kernel_before.minor_faults;
-                if occupancy_moved {
-                    Self::scan_occupancy(&self.machine, &self.layout, &mut occ_after);
-                } else {
-                    occ_after.copy_from_slice(&state.occ_before);
-                }
-                {
-                    let lane = &mut self.lanes[lane_idx];
-                    lane.accesses += state.accesses - accesses_before;
-                    lane.active_time += state.clock.saturating_sub(clock_before);
-                    lane.slow_reads += slow.reads - slow_before.reads;
-                    lane.slow_writes += slow.writes - slow_before.writes;
-                    lane.fast_reads += fast.reads - fast_before.reads;
-                    lane.fast_writes += fast.writes - fast_before.writes;
-                    lane.promotions += kernel.promotions - kernel_before.promotions;
-                    lane.demotions += kernel.demotions - kernel_before.demotions;
-                    lane.ping_pongs += kernel.ping_pongs - kernel_before.ping_pongs;
-                    lane.minor_faults += kernel.minor_faults - kernel_before.minor_faults;
-                }
-                // Cross-tenant evictions: the net fast-tier occupancy
-                // idle tenants lost while this slice ran.
-                let mut lost_total = 0u64;
-                for (j, &occ) in occ_after.iter().enumerate() {
-                    self.lanes[j].occupancy_sum += occ;
-                    if j != lane_idx && occ < state.occ_before[j] {
-                        let lost = state.occ_before[j] - occ;
-                        state.cross_tenant_evictions += lost;
-                        lost_total += lost;
-                        self.lanes[j].evicted_by_others += lost;
-                        self.lanes[lane_idx].evictions_caused += lost;
-                    }
-                }
-                if lost_total > 0 {
-                    // Feed the signal to contention-aware policies (a
-                    // no-op for everything else — the default hook).
-                    self.machine.policy.note_cross_tenant_evictions(lane_idx, lost_total);
-                }
-                std::mem::swap(&mut state.occ_before, &mut occ_after);
-
-                if stopped {
-                    break 'run;
-                }
+            if stop == Stop::Limit {
+                break;
             }
         }
     }
@@ -827,10 +684,7 @@ impl CoRunSimulation {
     /// Consumes the co-run and the final loop state into the report.
     fn into_report(self, state: CoRunState) -> CoRunReport {
         let CoRunState {
-            clock,
-            accesses,
-            timeline,
-            markers,
+            core,
             occupancy_timeline,
             occ_before,
             rounds,
@@ -838,24 +692,16 @@ impl CoRunSimulation {
             cross_tenant_evictions,
             mut epochs,
             mut epoch_ordinal,
-            mut open_epochs,
-            ..
+            open_epochs,
         } = state;
         let fast_capacity = self.machine.kernel.memory().allocator(Tier::Fast).capacity();
 
         // Close the epochs of every still-resident tenant at the final
         // clock, then order the records by (tenant, epoch) for stable
         // serialisation.
-        for (lane, open) in open_epochs.iter_mut().enumerate() {
-            if let Some(mark) = open.take() {
-                epochs_push_closed(
-                    &mut epochs,
-                    mark,
-                    lane,
-                    &mut epoch_ordinal,
-                    clock,
-                    &self.lanes[lane],
-                );
+        for (lane, open) in open_epochs.into_iter().enumerate() {
+            if let Some(mark) = open {
+                epochs.push(mark.close(lane, &mut epoch_ordinal, core.clock, &self.lanes[lane]));
             }
         }
         epochs.sort_by_key(|e| (e.tenant, e.epoch));
@@ -896,13 +742,7 @@ impl CoRunSimulation {
             })
             .collect();
 
-        let combined = self.machine.into_report(
-            format!("corun[{}]", self.mix_label),
-            clock,
-            accesses,
-            timeline,
-            markers,
-        );
+        let combined = self.machine.into_report(format!("corun[{}]", self.mix_label), core);
         CoRunReport {
             combined,
             tenants,
@@ -919,18 +759,19 @@ impl CoRunSimulation {
     }
 }
 
-/// Closes `mark` into a [`TenantEpoch`] and appends it — the one
-/// shared site [`CoRunSimulation::run_core`] and
-/// [`CoRunSimulation::into_report`] both use.
-fn epochs_push_closed(
-    epochs: &mut Vec<TenantEpoch>,
-    mark: EpochMark,
-    lane: usize,
-    ordinals: &mut [u32],
-    end: Nanos,
-    lane_ref: &Lane,
-) {
-    epochs.push(mark.close(lane, ordinals, end, lane_ref));
+/// The co-run's sample hook for [`drive`] and [`service_deadlines`]:
+/// every timeline sample gets a per-tenant fast-tier occupancy point
+/// at the same instant, counted by the same
+/// [`TenantLayout::count_fast_pages`] NeoMem's fairness gate uses.
+fn record_occupancy<'a>(
+    layout: &'a TenantLayout,
+    points: &'a mut Vec<OccupancyPoint>,
+) -> impl FnMut(&Machine, Nanos) + 'a {
+    move |machine, at| {
+        let mut fast_pages = vec![0u64; layout.tenant_count()];
+        layout.count_fast_pages(&machine.kernel, &mut fast_pages);
+        points.push(OccupancyPoint { at, fast_pages });
+    }
 }
 
 /// The mutable loop registers of a co-run — everything
@@ -938,15 +779,9 @@ fn epochs_push_closed(
 /// the scheduler and the lane accumulators. A co-run snapshot is the
 /// machine state, the scheduler state, the lanes, and this.
 struct CoRunState {
-    clock: Nanos,
-    accesses: u64,
-    next_tick: Nanos,
-    next_sample: Nanos,
-    timeline: Vec<TimelinePoint>,
-    markers: Vec<MarkerRecord>,
+    /// The registers [`drive`] advances, as in a single-tenant run.
+    core: LoopState,
     occupancy_timeline: Vec<OccupancyPoint>,
-    window_accesses: u64,
-    window_start: Nanos,
     /// The occupancy scan entering the current slice (and, at run end,
     /// the final scan).
     occ_before: Vec<u64>,
@@ -959,53 +794,38 @@ struct CoRunState {
 }
 
 impl CoRunState {
+    /// The single-tenant loop fields first, then the co-run's own.
     fn snapshot(&self) -> Json {
         let ordinals: Vec<u64> = self.epoch_ordinal.iter().map(|&x| u64::from(x)).collect();
-        Json::obj([
-            ("clock", Json::U64(self.clock.as_nanos())),
-            ("accesses", Json::U64(self.accesses)),
-            ("next_tick", Json::U64(self.next_tick.as_nanos())),
-            ("next_sample", Json::U64(self.next_sample.as_nanos())),
-            ("window_accesses", Json::U64(self.window_accesses)),
-            ("window_start", Json::U64(self.window_start.as_nanos())),
-            ("timeline", snapshot::timeline_to_json(&self.timeline)),
-            ("markers", snapshot::markers_to_json(&self.markers)),
-            (
-                "occupancy_timeline",
-                Json::Arr(
-                    self.occupancy_timeline
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("at", Json::U64(p.at.as_nanos())),
-                                ("fast_pages", Json::Str(hex_from_u64s(&p.fast_pages))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let occupancy = self
+            .occupancy_timeline
+            .iter()
+            .map(|p| {
+                Json::obj([
+                    ("at", Json::U64(p.at.as_nanos())),
+                    ("fast_pages", Json::Str(hex_from_u64s(&p.fast_pages))),
+                ])
+            })
+            .collect();
+        let open_epochs =
+            self.open_epochs.iter().map(|o| o.as_ref().map_or(Json::Null, EpochMark::snapshot));
+        Json::obj(self.core.fields().into_iter().chain([
+            ("occupancy_timeline", Json::Arr(occupancy)),
             ("occ_before", Json::Str(hex_from_u64s(&self.occ_before))),
             ("rounds", Json::U64(self.rounds)),
             ("slices", Json::U64(self.slices)),
             ("cross_tenant_evictions", Json::U64(self.cross_tenant_evictions)),
             ("epoch_ordinal", Json::Str(hex_from_u64s(&ordinals))),
-            (
-                "open_epochs",
-                Json::Arr(
-                    self.open_epochs
-                        .iter()
-                        .map(|o| match o {
-                            None => Json::Null,
-                            Some(mark) => mark.snapshot(),
-                        })
-                        .collect(),
-                ),
-            ),
+            ("open_epochs", Json::Arr(open_epochs.collect())),
             ("epochs", Json::Arr(self.epochs.iter().map(epoch_to_json).collect())),
-        ])
+        ]))
     }
 
-    fn restore(state: &Json, tenant_count: usize) -> Result<Self> {
+    /// Restores the registers of a co-run over `lanes` (already
+    /// restored), rejecting state whose epoch bookkeeping disagrees
+    /// with them.
+    fn restore(state: &Json, lanes: &[Lane]) -> Result<Self> {
+        let tenant_count = lanes.len();
         let occ_before = state.req_u64s("occ_before")?;
         if occ_before.len() != tenant_count {
             return Err(Error::snapshot(format!(
@@ -1036,9 +856,10 @@ impl CoRunState {
         }
         let open_epochs = open_arr
             .iter()
-            .map(|o| match o {
+            .zip(lanes)
+            .map(|(o, lane)| match o {
                 Json::Null => Ok(None),
-                mark => EpochMark::from_snapshot(mark).map(Some),
+                mark => EpochMark::from_snapshot(mark, lane).map(Some),
             })
             .collect::<Result<Vec<Option<EpochMark>>>>()?;
         let epochs = state
@@ -1046,6 +867,15 @@ impl CoRunState {
             .iter()
             .map(|e| epoch_from_json(e, tenant_count))
             .collect::<Result<Vec<TenantEpoch>>>()?;
+        // Every closed epoch took the next ordinal of its tenant.
+        for (tenant, &ordinal) in epoch_ordinal.iter().enumerate() {
+            let closed = epochs.iter().filter(|e| e.tenant == tenant).count();
+            if closed != ordinal as usize {
+                return Err(Error::snapshot(format!(
+                    "tenant {tenant} has {closed} closed epochs but epoch ordinal {ordinal}"
+                )));
+            }
+        }
         let occupancy_timeline = state
             .req_arr("occupancy_timeline")?
             .iter()
@@ -1061,15 +891,8 @@ impl CoRunState {
             })
             .collect::<Result<Vec<OccupancyPoint>>>()?;
         Ok(Self {
-            clock: Nanos::new(state.req_u64("clock")?),
-            accesses: state.req_u64("accesses")?,
-            next_tick: Nanos::new(state.req_u64("next_tick")?),
-            next_sample: Nanos::new(state.req_u64("next_sample")?),
-            timeline: snapshot::timeline_from_json(state, "timeline")?,
-            markers: snapshot::markers_from_json(state, "markers")?,
+            core: LoopState::restore(state)?,
             occupancy_timeline,
-            window_accesses: state.req_u64("window_accesses")?,
-            window_start: Nanos::new(state.req_u64("window_start")?),
             occ_before,
             rounds: state.req_u64("rounds")?,
             slices: state.req_u64("slices")?,
@@ -1143,13 +966,26 @@ impl EpochMark {
         ])
     }
 
-    fn from_snapshot(snap: &Json) -> Result<Self> {
-        Ok(Self {
+    /// Restores a mark of `lane` (already restored). A mark above the
+    /// lane's counters would underflow when the epoch closes, so it is
+    /// rejected.
+    fn from_snapshot(snap: &Json, lane: &Lane) -> Result<Self> {
+        let mark = Self {
             start: Nanos::new(snap.req_u64("start")?),
             accesses: snap.req_u64("accesses")?,
             slow_tier: snap.req_u64("slow_tier")?,
             evicted: snap.req_u64("evicted")?,
-        })
+        };
+        let slow_tier = lane.slow_reads.checked_add(lane.slow_writes);
+        if mark.accesses > lane.accesses
+            || slow_tier.is_none_or(|s| mark.slow_tier > s)
+            || mark.evicted > lane.evicted_by_others
+        {
+            return Err(Error::snapshot(format!(
+                "open epoch mark {mark:?} exceeds its lane's counters"
+            )));
+        }
+        Ok(mark)
     }
 
     fn close(

@@ -37,41 +37,11 @@ impl HotCosts {
     }
 }
 
-/// The earliest of the tick, sample and (optional) stop deadlines: the
-/// single comparison the per-access fast path makes.
-#[inline]
-pub(crate) fn earliest_deadline(next_tick: Nanos, next_sample: Nanos, limit: Option<Nanos>) -> Nanos {
-    let d = next_tick.min(next_sample);
-    match limit {
-        Some(l) => d.min(l),
-        None => d,
-    }
-}
-
-/// The deadline the hot loop compares against: the usual tick / sample
-/// / stop deadline, additionally clamped to a snapshot cut point when
-/// one is set. Entering the slow path "early" because of the cut is
-/// state-neutral — every slow-path action is individually guarded by
-/// its own `clock >= ...` check — so folding the cut in here preserves
-/// bit-identity with an uninterrupted run.
-#[inline]
-fn deadline_with_cut(
-    next_tick: Nanos,
-    next_sample: Nanos,
-    limit: Option<Nanos>,
-    cut: Option<Nanos>,
-) -> Nanos {
-    let d = earliest_deadline(next_tick, next_sample, limit);
-    match cut {
-        Some(c) => d.min(c),
-        None => d,
-    }
-}
-
-/// The mutable loop registers of a single-tenant run — everything
-/// [`run_core`] reads and writes besides the machine and the workload
-/// generator. Hoisting them into a struct is what makes a run
-/// interruptible: a snapshot is the machine state plus this.
+/// The mutable loop registers of a run — everything [`drive`] reads
+/// and writes besides the machine and the workload generator. Hoisting
+/// them into a struct is what makes a run interruptible: a snapshot is
+/// the machine state plus this (the co-run engine embeds it in its own
+/// registers).
 pub(crate) struct LoopState {
     pub(crate) clock: Nanos,
     pub(crate) accesses: u64,
@@ -106,8 +76,10 @@ impl LoopState {
         self.accesses + self.markers.len() as u64
     }
 
-    pub(crate) fn snapshot(&self) -> Json {
-        Json::obj([
+    /// The registers as snapshot fields. The co-run engine appends its
+    /// own after these eight, so both snapshot kinds share the prefix.
+    pub(crate) fn fields(&self) -> [(&'static str, Json); 8] {
+        [
             ("clock", Json::U64(self.clock.as_nanos())),
             ("accesses", Json::U64(self.accesses)),
             ("next_tick", Json::U64(self.next_tick.as_nanos())),
@@ -116,7 +88,7 @@ impl LoopState {
             ("window_start", Json::U64(self.window_start.as_nanos())),
             ("timeline", snapshot::timeline_to_json(&self.timeline)),
             ("markers", snapshot::markers_to_json(&self.markers)),
-        ])
+        ]
     }
 
     pub(crate) fn restore(state: &Json) -> Result<Self> {
@@ -133,66 +105,115 @@ impl LoopState {
     }
 }
 
-/// Why [`run_core`] returned.
+/// Why [`drive`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StopReason {
-    /// The run completed: access budget exhausted or `max_time` hit.
-    Finished,
-    /// The snapshot cut point was reached; `state` holds a resumable
-    /// mid-run position.
+pub(crate) enum Stop {
+    /// The event allowance or the machine's access budget ran out.
+    Drained,
+    /// The clock reached `max_time`: the run is over.
+    Limit,
+    /// The clock reached the snapshot cut point; the state is a
+    /// resumable mid-run position.
     Cut,
 }
 
-/// The single-tenant run loop, shared verbatim by [`Simulation::run`],
-/// [`Simulation::snapshot_at`] and [`Simulation::run_from`]: pulls
-/// events in batches, steps the machine, and runs the due tick /
-/// sample / stop checks in seed-engine order. With `cut` set, returns
-/// [`StopReason::Cut`] as soon as `state.clock` reaches it — checked
-/// exactly where the uninterrupted run checks its `max_time` stop, so
-/// the machine and loop state at the cut are bit-identical to the
-/// uninterrupted run's state as it passes the same instant.
-pub(crate) fn run_core(
+/// Fires whatever is due at `state.clock`, in engine order: fault
+/// edges first (the hardware event precedes the daemon's reaction to
+/// it at the same instant), then the policy tick, then the timeline
+/// sample, after which `on_sample` sees the machine at the sample's
+/// instant. Every action is guarded by its own deadline, so calling
+/// this early is state-neutral. Returns whether a fault edge or a tick
+/// ran — either may have moved pages.
+pub(crate) fn service_deadlines(
+    machine: &mut Machine,
+    state: &mut LoopState,
+    on_sample: &mut impl FnMut(&Machine, Nanos),
+) -> bool {
+    let mut moved = false;
+    // An empty fault plan's deadline is `u64::MAX`, so this guard never
+    // passes and the healthy path stays bit-identical.
+    if state.clock >= machine.faults.deadline() {
+        state.clock += machine.fault_tick(state.clock, state.accesses);
+        moved = true;
+    }
+    if state.clock >= state.next_tick {
+        state.clock += machine.policy_tick(state.clock);
+        state.next_tick = state.clock + machine.config.tick_quantum;
+        moved = true;
+    }
+    if state.clock >= state.next_sample {
+        state.timeline.push(machine.sample(state));
+        on_sample(machine, state.clock);
+        state.window_accesses = 0;
+        state.window_start = state.clock;
+        state.next_sample = state.clock + machine.config.sample_interval;
+    }
+    moved
+}
+
+/// The one event loop both engines run: pulls up to `events` events
+/// from `workload` in `batch_size` chunks, relocates each access by
+/// `base` pages (a co-run tenant's namespace; 0 for a single-tenant
+/// run), and steps the machine. The per-access fast path is `step`
+/// plus one comparison against the earliest tick, sample, fault, stop
+/// or cut deadline; past it, [`service_deadlines`] runs and then the
+/// `max_time` stop and the `cut` are checked, in that order.
+///
+/// The cut is checked exactly where the `max_time` stop is, so the
+/// machine and loop state at a cut are bit-identical to an
+/// uninterrupted run's as it passes the same instant. Batched events
+/// past a stop or a cut were never processed, so discarding them cannot
+/// be observed; a resume regenerates them by fast-forwarding the
+/// rebuilt generator by [`LoopState::events_consumed`].
+pub(crate) fn drive(
     machine: &mut Machine,
     workload: &mut dyn Workload,
+    base: u64,
+    events: u64,
     state: &mut LoopState,
     cut: Option<Nanos>,
-) -> StopReason {
+    mut on_sample: impl FnMut(&Machine, Nanos),
+) -> Stop {
     let limit = machine.config.max_time;
     let costs = HotCosts::of(&machine.config);
-    let batch = machine.config.batch_size.max(1);
+    let batch = machine.config.batch_size.max(1) as u64;
     let max_accesses = machine.config.max_accesses;
-    let tick_quantum = machine.config.tick_quantum;
-    let sample_interval = machine.config.sample_interval;
-    let mut events: Vec<WorkloadEvent> = Vec::with_capacity(batch);
-    // Reusable shootdown buffer: policies append into it, so the
-    // steady-state tick path performs no heap allocation.
-    let mut shootdowns: Vec<VirtPage> = Vec::new();
-    let mut next_deadline = deadline_with_cut(state.next_tick, state.next_sample, limit, cut)
-        .min(machine.faults.deadline());
-
-    'run: while state.accesses < max_accesses {
+    // The earliest stop or cut instant.
+    let never = Nanos::new(u64::MAX);
+    let halt = limit.unwrap_or(never).min(cut.unwrap_or(never));
+    let deadline = |machine: &Machine, state: &LoopState| {
+        state.next_tick.min(state.next_sample).min(halt).min(machine.faults.deadline())
+    };
+    let mut next_deadline = deadline(machine, state);
+    // Host-only scratch: moved out so the loop can borrow the machine.
+    let mut buf = std::mem::take(&mut machine.events);
+    let mut pulled = 0u64;
+    let stop = 'run: loop {
+        if pulled >= events || state.accesses >= max_accesses {
+            break Stop::Drained;
+        }
         if limit.is_some_and(|l| state.clock >= l) {
-            break;
+            break Stop::Limit;
         }
         if cut.is_some_and(|c| state.clock >= c) {
-            return StopReason::Cut;
+            break Stop::Cut;
         }
-        // A batch of n events yields at most n accesses, so capping
-        // at the remaining budget can never overshoot max_accesses.
-        let n = (max_accesses - state.accesses).min(batch as u64) as usize;
-        events.clear();
-        workload.fill_events(&mut events, n);
-        for event in &events {
+        // A batch of n events yields at most n accesses, so capping at
+        // the remaining budget can never overshoot max_accesses.
+        let n = (events - pulled).min(batch).min(max_accesses - state.accesses);
+        buf.clear();
+        workload.fill_events(&mut buf, n as usize);
+        pulled += n;
+        for event in &buf {
             let access = match *event {
-                WorkloadEvent::Access(access) => access,
+                WorkloadEvent::Access(mut access) => {
+                    access.vpage = VirtPage::new(base + access.vpage.index());
+                    access
+                }
                 WorkloadEvent::Marker(m) => {
                     // Markers skip the deadline checks, exactly like
                     // the seed engine's `continue`.
-                    state.markers.push(MarkerRecord {
-                        at: state.clock,
-                        id: m.id,
-                        label: m.label,
-                    });
+                    state.markers.push(MarkerRecord { at: state.clock, id: m.id, label: m.label });
                     continue;
                 }
             };
@@ -203,54 +224,18 @@ pub(crate) fn run_core(
             if state.clock < next_deadline {
                 continue;
             }
-
-            // Fault edges fire first: the hardware event precedes the
-            // daemon's reaction to it at the same instant. An empty
-            // plan's deadline is `u64::MAX`, so this guard never
-            // passes and the healthy path stays bit-identical.
-            if state.clock >= machine.faults.deadline() {
-                state.clock += machine.fault_tick(state.clock, state.accesses);
-            }
-
-            // Policy tick.
-            if state.clock >= state.next_tick {
-                state.clock += machine.policy_tick(state.clock, &mut shootdowns);
-                state.next_tick = state.clock + tick_quantum;
-            }
-
-            // Timeline sample.
-            if state.clock >= state.next_sample {
-                state.timeline.push(machine.sample(
-                    state.clock,
-                    state.accesses,
-                    state.window_accesses,
-                    state.window_start,
-                ));
-                state.window_accesses = 0;
-                state.window_start = state.clock;
-                state.next_sample = state.clock + sample_interval;
-            }
-
-            // Simulated-time stop: checked after the due tick and
-            // sample, matching the seed engine's loop-top check
-            // before the next event. Remaining batched events were
-            // never processed, so discarding them cannot be
-            // observed in the report.
+            service_deadlines(machine, state, &mut on_sample);
             if limit.is_some_and(|l| state.clock >= l) {
-                break 'run;
+                break 'run Stop::Limit;
             }
-            // Snapshot cut: same position and semantics as the stop
-            // above. The discarded batch tail regenerates
-            // deterministically when the resume fast-forwards the
-            // rebuilt generator by `events_consumed()`.
             if cut.is_some_and(|c| state.clock >= c) {
-                return StopReason::Cut;
+                break 'run Stop::Cut;
             }
-            next_deadline = deadline_with_cut(state.next_tick, state.next_sample, limit, cut)
-                .min(machine.faults.deadline());
+            next_deadline = deadline(machine, state);
         }
-    }
-    StopReason::Finished
+    };
+    machine.events = buf;
+    stop
 }
 
 /// The simulated machine shared by the single-tenant [`Simulation`]
@@ -267,6 +252,11 @@ pub(crate) struct Machine {
     pub(crate) caches: CacheHierarchy,
     pub(crate) tlb: Tlb,
     pub(crate) faults: FaultInjector,
+    /// Host-only scratch, never snapshotted: the event batch [`drive`]
+    /// fills, and the shootdowns a policy tick drains. Reusing them
+    /// keeps the steady-state loop free of heap allocation.
+    events: Vec<WorkloadEvent>,
+    shootdowns: Vec<VirtPage>,
 }
 
 impl Machine {
@@ -281,7 +271,8 @@ impl Machine {
         let caches = CacheHierarchy::new(config.caches);
         let tlb = Tlb::new(config.tlb);
         let faults = FaultInjector::new(&config.faults);
-        Ok(Self { config, policy, kernel, caches, tlb, faults })
+        let events = Vec::with_capacity(config.batch_size.max(1));
+        Ok(Self { config, policy, kernel, caches, tlb, faults, events, shootdowns: Vec::new() })
     }
 
     /// Fires every due fault edge at `now` (see
@@ -291,39 +282,32 @@ impl Machine {
     }
 
     /// Offers the policy a tick at `now` and applies any TLB shootdowns
-    /// it requested, reusing the caller's `shootdowns` buffer (cleared
-    /// on return). Returns the total time charged — exactly the
+    /// it requested. Returns the total time charged — exactly the
     /// sequence of charges the seed engine's inline tick block made.
-    pub(crate) fn policy_tick(&mut self, now: Nanos, shootdowns: &mut Vec<VirtPage>) -> Nanos {
+    pub(crate) fn policy_tick(&mut self, now: Nanos) -> Nanos {
         let mut elapsed = self.policy.maybe_tick(&mut self.kernel, now);
-        self.policy.drain_shootdowns_into(shootdowns);
-        for &vpage in shootdowns.iter() {
+        self.policy.drain_shootdowns_into(&mut self.shootdowns);
+        for &vpage in &self.shootdowns {
             self.tlb.shootdown(vpage);
             elapsed += self.kernel.costs().tlb_shootdown;
         }
-        shootdowns.clear();
+        self.shootdowns.clear();
         elapsed
     }
 
-    /// One timeline sample of the machine state at `clock`.
-    pub(crate) fn sample(
-        &self,
-        clock: Nanos,
-        accesses: u64,
-        window_accesses: u64,
-        window_start: Nanos,
-    ) -> TimelinePoint {
+    /// One timeline sample of the machine state at `state.clock`.
+    pub(crate) fn sample(&self, state: &LoopState) -> TimelinePoint {
         let telemetry = self.policy.telemetry();
         let slow = self.kernel.memory().node(Tier::Slow).stats();
-        let window = clock.saturating_sub(window_start);
+        let window = state.clock.saturating_sub(state.window_start);
         TimelinePoint {
-            at: clock,
-            accesses,
+            at: state.clock,
+            accesses: state.accesses,
             slow_accesses: slow.reads + slow.writes,
             throughput: if window.is_zero() {
                 0.0
             } else {
-                window_accesses as f64 / window.as_secs_f64()
+                state.window_accesses as f64 / window.as_secs_f64()
             },
             threshold: telemetry.threshold,
             p_fraction: telemetry.p_fraction,
@@ -335,16 +319,11 @@ impl Machine {
         }
     }
 
-    /// Consumes the machine into the final [`RunReport`], fetching the
-    /// end-of-run counters in the same order as the seed engine.
-    pub(crate) fn into_report(
-        self,
-        workload: String,
-        runtime: Nanos,
-        accesses: u64,
-        timeline: Vec<TimelinePoint>,
-        markers: Vec<MarkerRecord>,
-    ) -> RunReport {
+    /// Consumes the machine and the final loop registers into the
+    /// [`RunReport`], fetching the end-of-run counters in the same
+    /// order as the seed engine.
+    pub(crate) fn into_report(self, workload: String, state: LoopState) -> RunReport {
+        let LoopState { clock: runtime, accesses, timeline, markers, .. } = state;
         let slow = self.kernel.memory().node(Tier::Slow).stats();
         let fast = self.kernel.memory().node(Tier::Fast).stats();
         let cache = self.caches.stats();
@@ -533,13 +512,13 @@ impl Simulation {
     /// The engine pulls events in batches through
     /// [`Workload::fill_events`] into one reused buffer (a single
     /// virtual dispatch per batch instead of one per access) and hoists
-    /// the `max_time` / policy-tick / timeline-sample checks out of the
-    /// per-access path behind a single precomputed *next deadline*: the
-    /// common iteration is `step` plus one branch. The slow path runs
-    /// the due checks in exactly the seed engine's order (tick, sample,
-    /// stop), so a batched run is observably identical to the
-    /// event-at-a-time path for any batch size — the
-    /// `batch_determinism` suite holds this invariant.
+    /// the fault / policy-tick / timeline-sample / `max_time` checks
+    /// out of the per-access path behind a single precomputed *next
+    /// deadline*: the common iteration is `step` plus one branch. The
+    /// slow path runs the due checks in exactly the seed engine's order
+    /// (fault edges, tick, sample, stop), so a batched run is
+    /// observably identical to the event-at-a-time path for any batch
+    /// size — the `batch_determinism` suite holds this invariant.
     ///
     /// # Panics
     ///
@@ -549,14 +528,8 @@ impl Simulation {
     pub fn run(self) -> RunReport {
         let Self { mut machine, mut workload } = self;
         let mut state = LoopState::fresh(&machine.config);
-        run_core(&mut machine, workload.as_mut(), &mut state, None);
-        machine.into_report(
-            workload.name().to_string(),
-            state.clock,
-            state.accesses,
-            state.timeline,
-            state.markers,
-        )
+        drive(&mut machine, workload.as_mut(), 0, u64::MAX, &mut state, None, |_, _| {});
+        machine.into_report(workload.name().to_string(), state)
     }
 
     /// Runs until the virtual clock reaches `at` and serializes the
@@ -576,14 +549,14 @@ impl Simulation {
     pub fn snapshot_at(self, at: Nanos) -> Json {
         let Self { mut machine, mut workload } = self;
         let mut state = LoopState::fresh(&machine.config);
-        run_core(&mut machine, workload.as_mut(), &mut state, Some(at));
+        drive(&mut machine, workload.as_mut(), 0, u64::MAX, &mut state, Some(at), |_, _| {});
         let fingerprint = snapshot::sim_fingerprint(&machine.config);
         snapshot::envelope(
             snapshot::KIND_SIM,
             fingerprint,
             workload.name(),
             machine.policy.name(),
-            Json::obj([("machine", machine.snapshot()), ("loop", state.snapshot())]),
+            Json::obj([("machine", machine.snapshot()), ("loop", Json::obj(state.fields()))]),
         )
     }
 
@@ -617,14 +590,8 @@ impl Simulation {
         machine.restore(state_json.req("machine")?)?;
         let mut state = LoopState::restore(state_json.req("loop")?)?;
         snapshot::fast_forward(workload.as_mut(), state.events_consumed());
-        run_core(&mut machine, workload.as_mut(), &mut state, None);
-        Ok(machine.into_report(
-            workload.name().to_string(),
-            state.clock,
-            state.accesses,
-            state.timeline,
-            state.markers,
-        ))
+        drive(&mut machine, workload.as_mut(), 0, u64::MAX, &mut state, None, |_, _| {});
+        Ok(machine.into_report(workload.name().to_string(), state))
     }
 }
 

@@ -284,6 +284,11 @@ impl SliceScheduler for DynamicSchedule {
         for w in weights_raw {
             let narrow = u32::try_from(w)
                 .map_err(|_| Error::snapshot(format!("lane weight {w} exceeds u32")))?;
+            if narrow == 0 {
+                return Err(Error::snapshot(
+                    "lane weight 0: its empty slices never advance the clock",
+                ));
+            }
             weights.push(narrow);
         }
         let cursor = state.req_u64("cursor")? as usize;

@@ -15,7 +15,7 @@ use neomem_types::{Access, AccessKind, VirtPage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Workload, WorkloadEvent};
+use crate::{Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Tree depth (levels touched per lookup). Level 0 is the root, level
 /// `LEVELS - 1` the leaves.
@@ -40,9 +40,9 @@ impl Btree {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "btree needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "btree needs at least {MIN_RSS_PAGES} pages");
         let mut ranges = [(0u64, 0u64); LEVELS];
         let mut top = rss_pages;
         for (level, frac) in LEVEL_FRACTIONS.iter().enumerate() {

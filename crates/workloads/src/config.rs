@@ -40,7 +40,7 @@ use neomem_types::config::{ConfigDoc, ConfigError, ConfigSection, ConfigValue, F
 use neomem_types::suggest;
 use neomem_types::{FaultPlan, Nanos};
 
-use crate::{PhaseSpec, Scenario, TenantMix, WorkloadKind};
+use crate::{PhaseSpec, Scenario, TenantMix, WorkloadKind, MIN_RSS_PAGES};
 
 /// Current (and only) scenario-file schema version.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -156,7 +156,7 @@ impl ScenarioConfig {
                 ));
             }
             let kind = read_workload_kind(&mut r)?;
-            let rss_pages = r.req_u64_range("rss_pages", 1, u64::MAX)?;
+            let rss_pages = r.req_u64_range("rss_pages", MIN_RSS_PAGES, u64::MAX)?;
             let weight = r.take_u64_range("weight", 1, u32::MAX as u64)?.unwrap_or(1);
             let seed = r.req_u64("seed")?;
             r.finish()?;
@@ -179,7 +179,7 @@ impl ScenarioConfig {
             let mut r = FieldReader::new(section);
             let tenant = read_tenant_ref(&mut r, &tenant_names)?;
             let kind = read_workload_kind(&mut r)?;
-            let rss_pages = r.req_u64_range("rss_pages", 1, u64::MAX)?;
+            let rss_pages = r.req_u64_range("rss_pages", MIN_RSS_PAGES, u64::MAX)?;
             let events = r.req_u64_range("events", 1, u64::MAX)?;
             r.finish()?;
             phases[tenant].push(PhaseSpec { kind, rss_pages, events });
@@ -498,7 +498,7 @@ events = 50
         );
         assert_eq!(
             err("[tenant]\nworkload = gups\nrss_pages = 0\nseed = 1\n"),
-            "line 6: key \"rss_pages\" is 0, want at least 1 in [tenant]"
+            "line 6: key \"rss_pages\" is 0, want at least 64 in [tenant]"
         );
         assert_eq!(
             err("[tenant]\nworkload = gups\nrss_pages = 64\nseed = 1\n\

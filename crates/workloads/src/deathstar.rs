@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::perm::Permutation;
 use crate::zipf::Zipf;
-use crate::{Marker, Workload, WorkloadEvent};
+use crate::{Marker, Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Fraction of the footprint for session/cache state.
 const SESSION_FRACTION: f64 = 0.3;
@@ -47,9 +47,9 @@ impl DeathStar {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "deathstar needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "deathstar needs at least {MIN_RSS_PAGES} pages");
         let session_pages = ((rss_pages as f64 * SESSION_FRACTION) as u64).max(8);
         let log_pages = ((rss_pages as f64 * LOG_FRACTION) as u64).max(4);
         let content_pages = rss_pages - session_pages - log_pages;

@@ -18,7 +18,7 @@ use neomem_types::{Access, AccessKind, VirtPage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Marker, Workload, WorkloadEvent};
+use crate::{Marker, Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Fraction of accesses that hit the hot region.
 pub const HOT_ACCESS_FRACTION: f64 = 0.9;
@@ -48,9 +48,9 @@ impl Gups {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "gups needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "gups needs at least {MIN_RSS_PAGES} pages");
         Self {
             rss_pages,
             hot_pages: ((rss_pages as f64 * HOT_REGION_FRACTION) as u64).max(1),

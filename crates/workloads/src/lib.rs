@@ -68,6 +68,11 @@ pub use zipf::Zipf;
 
 use neomem_types::Access;
 
+/// The smallest footprint, in pages, that every generator accepts.
+/// Tenant mixes, phase schedules and the scenario-file reader reject
+/// anything smaller, so a footprint that validates always builds.
+pub const MIN_RSS_PAGES: u64 = 64;
+
 /// A phase marker emitted inside the access stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
-use crate::{Marker, Workload, WorkloadEvent};
+use crate::{Marker, Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Fraction of the footprint holding vertex (rank) data; the rest is
 /// edge/offset arrays.
@@ -46,9 +46,9 @@ impl PageRank {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "pagerank needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "pagerank needs at least {MIN_RSS_PAGES} pages");
         let vertex_pages = ((rss_pages as f64 * VERTEX_FRACTION) as u64).max(8);
         let edge_pages = rss_pages - vertex_pages;
         Self {

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
-use crate::{Workload, WorkloadEvent};
+use crate::{Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Fraction of the footprint holding the hash table (buckets).
 const TABLE_FRACTION: f64 = 0.25;
@@ -37,9 +37,9 @@ impl Redis {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "redis needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "redis needs at least {MIN_RSS_PAGES} pages");
         let table_pages = ((rss_pages as f64 * TABLE_FRACTION) as u64).max(8);
         Self {
             rss_pages,

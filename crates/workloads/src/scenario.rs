@@ -20,7 +20,7 @@
 
 use neomem_types::{FaultPlan, Nanos};
 
-use crate::{Marker, TenantMix, Workload, WorkloadEvent, WorkloadKind};
+use crate::{Marker, TenantMix, Workload, WorkloadEvent, WorkloadKind, MIN_RSS_PAGES};
 
 /// What happens to a tenant at a [`TenantEvent`]'s timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +135,8 @@ impl PhasedWorkload {
     /// # Errors
     ///
     /// Returns a message when `phases` is empty, any phase has zero
-    /// events or a zero working set, or a phase's working set exceeds
-    /// `rss_pages`.
+    /// events or a working set below [`MIN_RSS_PAGES`], or a phase's
+    /// working set exceeds `rss_pages`.
     pub fn new(phases: Vec<PhaseSpec>, rss_pages: u64, seed: u64) -> Result<Self, String> {
         if phases.is_empty() {
             return Err("a phased workload needs at least one phase".into());
@@ -145,8 +145,13 @@ impl PhasedWorkload {
             if phase.events == 0 {
                 return Err(format!("phase {i} ({}) has zero events", phase.kind.label()));
             }
-            if phase.rss_pages == 0 {
-                return Err(format!("phase {i} ({}) has a zero working set", phase.kind.label()));
+            if phase.rss_pages < MIN_RSS_PAGES {
+                return Err(format!(
+                    "phase {i} ({}) has a working set of {} pages, below the minimum of \
+                     {MIN_RSS_PAGES}",
+                    phase.kind.label(),
+                    phase.rss_pages
+                ));
             }
             if phase.rss_pages > rss_pages {
                 return Err(format!(
@@ -642,6 +647,13 @@ mod tests {
         assert!(
             Scenario::builder(mix_2()).phased(0, vec![phase(0, 10)]).build().is_err(),
             "zero rss"
+        );
+        assert!(
+            Scenario::builder(mix_2())
+                .phased(0, vec![phase(MIN_RSS_PAGES - 1, 10)])
+                .build()
+                .is_err(),
+            "working set below the generators' minimum"
         );
         assert!(
             Scenario::builder(mix_2()).phased(0, vec![phase(2048, 10)]).build().is_err(),

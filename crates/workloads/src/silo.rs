@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::perm::Permutation;
 use crate::zipf::Zipf;
-use crate::{Workload, WorkloadEvent};
+use crate::{Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 const RECORD_FRACTION: f64 = 0.8;
 const INDEX_FRACTION: f64 = 0.1;
@@ -39,9 +39,9 @@ impl Silo {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "silo needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "silo needs at least {MIN_RSS_PAGES} pages");
         let record_pages = ((rss_pages as f64 * RECORD_FRACTION) as u64).max(16);
         let index_pages = ((rss_pages as f64 * INDEX_FRACTION) as u64).max(4);
         Self {

@@ -12,7 +12,7 @@ use neomem_types::{Access, AccessKind, VirtPage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Marker, Workload, WorkloadEvent};
+use crate::{Marker, Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Which SPEC kernel to imitate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +64,12 @@ impl StreamingHpc {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(kind: StreamKind, rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "streaming kernel needs at least 64 pages");
+        assert!(
+            rss_pages >= MIN_RSS_PAGES,
+            "streaming kernel needs at least {MIN_RSS_PAGES} pages"
+        );
         Self {
             kind,
             rss_pages,

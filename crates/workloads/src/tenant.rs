@@ -8,7 +8,7 @@
 //! the machine's global address space, so generators stay completely
 //! unaware of their co-runners.
 
-use crate::{Workload, WorkloadKind};
+use crate::{Workload, WorkloadKind, MIN_RSS_PAGES};
 
 /// One tenant of a co-run: a workload kind plus its private sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,15 +180,19 @@ impl TenantMixBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a message when the mix is empty or any tenant has a zero
-    /// footprint or zero weight.
+    /// Returns a message when the mix is empty or any tenant has a
+    /// footprint below [`MIN_RSS_PAGES`] or a zero weight.
     pub fn build(self) -> Result<TenantMix, String> {
         if self.tenants.is_empty() {
             return Err("a tenant mix needs at least one tenant".into());
         }
         for (i, t) in self.tenants.iter().enumerate() {
-            if t.rss_pages == 0 {
-                return Err(format!("tenant {i} ({}) has a zero footprint", t.kind.label()));
+            if t.rss_pages < MIN_RSS_PAGES {
+                return Err(format!(
+                    "tenant {i} ({}) has a footprint of {} pages, below the minimum of {MIN_RSS_PAGES}",
+                    t.kind.label(),
+                    t.rss_pages
+                ));
             }
             if t.weight == 0 {
                 return Err(format!("tenant {i} ({}) has a zero weight", t.kind.label()));
@@ -261,6 +265,10 @@ mod tests {
         assert!(
             TenantMix::builder().tenant(WorkloadKind::Gups, 0, 1).build().is_err(),
             "zero rss"
+        );
+        assert!(
+            TenantMix::builder().tenant(WorkloadKind::Silo, MIN_RSS_PAGES - 1, 1).build().is_err(),
+            "rss below the generators' minimum"
         );
         assert!(
             TenantMix::builder().weighted_tenant(WorkloadKind::Gups, 64, 0, 1).build().is_err(),

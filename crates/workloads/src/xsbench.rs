@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::perm::Permutation;
 use crate::zipf::Zipf;
-use crate::{Workload, WorkloadEvent};
+use crate::{Workload, WorkloadEvent, MIN_RSS_PAGES};
 
 /// Fraction of the footprint holding the read-only cross-section tables.
 const TABLE_FRACTION: f64 = 0.85;
@@ -40,9 +40,9 @@ impl XsBench {
     ///
     /// # Panics
     ///
-    /// Panics if `rss_pages < 64`.
+    /// Panics if `rss_pages` is below [`crate::MIN_RSS_PAGES`].
     pub fn new(rss_pages: u64, seed: u64) -> Self {
-        assert!(rss_pages >= 64, "xsbench needs at least 64 pages");
+        assert!(rss_pages >= MIN_RSS_PAGES, "xsbench needs at least {MIN_RSS_PAGES} pages");
         let table_pages = ((rss_pages as f64 * TABLE_FRACTION) as u64).max(16);
         Self {
             rss_pages,

@@ -11,16 +11,18 @@
 //! 2. **Batch invariance**: re-run one cell at batch size 1 and assert
 //!    the simulated results are identical — the engine's batch
 //!    contract, double-checked wherever this figure runs.
-//! 3. **Allocation probe**: when the hosting binary installed a
-//!    counting allocator (see [`crate::alloc_probe`]), measure
-//!    steady-state heap allocations of the hot loop by differencing
-//!    two first-touch runs whose budgets differ by a known amount —
-//!    setup allocations cancel, so the remainder is the per-access
-//!    allocation rate, which the batched engine keeps at (amortised)
-//!    zero. The `micro_engine` bench target asserts this; here the
-//!    numbers are reported on stderr.
+//! 3. **Heap probe**: when the hosting binary installed a counting
+//!    allocator (see [`crate::alloc_probe`]), difference two runs
+//!    whose budgets differ by a known amount — setup cancels, so the
+//!    remainder is what the extra accesses cost. Two pairs:
+//!    first-touch GUPS for heap allocations, which the batched engine
+//!    keeps at (amortised) zero, and NeoMem GUPS on the large preset
+//!    at 65,536 pages (the perfbench gups shape) for peak live heap,
+//!    which must not grow with run length beyond the timeline. The
+//!    `micro_engine` bench target asserts both; here the numbers are
+//!    reported on stderr.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use neomem::prelude::*;
@@ -102,15 +104,21 @@ pub fn run(ctx: &RunContext) -> Json {
     );
     println!("\nbatch invariance: batch=256 == batch=1 over {check_budget} accesses ✓");
 
-    // Steady-state allocation probe (host-side; stderr only).
-    let alloc_stats = steady_state_allocs(ctx);
-    match alloc_stats {
-        Some((extra_accesses, extra_allocs)) => eprintln!(
-            "[micro_engine] steady state: {extra_allocs} heap allocations over {extra_accesses} \
-             extra accesses ({:.6} per access)",
-            extra_allocs as f64 / extra_accesses as f64,
+    // Steady-state heap probe (host-side; stderr only).
+    match steady_state(ctx) {
+        Some(s) => eprintln!(
+            "[micro_engine] steady state: {} heap allocations over {} extra accesses ({:.6} per \
+             access); peak live heap {} -> {} bytes over {} extra accesses ({:.3} bytes per \
+             access)",
+            s.extra_allocs,
+            s.alloc_extra_accesses,
+            s.allocs_per_access(),
+            s.short_peak_bytes,
+            s.long_peak_bytes,
+            s.heap_extra_accesses,
+            s.peak_bytes_per_access(),
         ),
-        None => eprintln!("[micro_engine] allocation probe inactive (no counting allocator)"),
+        None => eprintln!("[micro_engine] heap probe inactive (no counting allocator)"),
     }
 
     Json::obj([
@@ -131,27 +139,56 @@ pub fn run(ctx: &RunContext) -> Json {
     ])
 }
 
-/// Last probe measurement taken by [`run`], for the bench target's
-/// allocation gate (0 accesses = no probe ran). Host-side state only.
-static LAST_PROBE_ACCESSES: AtomicU64 = AtomicU64::new(0);
-static LAST_PROBE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// What the extra accesses of the steady-state probe cost the host.
+#[derive(Debug, Clone, Copy)]
+pub struct SteadyState {
+    /// Extra accesses of the allocation-count pair (first-touch GUPS).
+    pub alloc_extra_accesses: u64,
+    /// Heap allocations those extra accesses made.
+    pub extra_allocs: u64,
+    /// Extra accesses of the live-heap pair (NeoMem GUPS, large preset).
+    pub heap_extra_accesses: u64,
+    /// Peak live heap of the short live-heap run, in bytes above the
+    /// live heap before it.
+    pub short_peak_bytes: u64,
+    /// Peak live heap of the long live-heap run, likewise.
+    pub long_peak_bytes: u64,
+}
 
-/// The `(extra_accesses, extra_allocations)` measured by the most
-/// recent [`run`] in this process, or `None` when no probe was
-/// installed — lets the `micro_engine` bench target gate on the
-/// measurement the figure already took instead of re-running it.
-pub fn last_steady_state_allocs() -> Option<(u64, u64)> {
-    match LAST_PROBE_ACCESSES.load(Ordering::Relaxed) {
-        0 => None,
-        accesses => Some((accesses, LAST_PROBE_ALLOCS.load(Ordering::Relaxed))),
+impl SteadyState {
+    /// Heap allocations per extra access.
+    pub fn allocs_per_access(&self) -> f64 {
+        self.extra_allocs as f64 / self.alloc_extra_accesses as f64
+    }
+
+    /// Peak live-heap growth per extra access, in bytes.
+    pub fn peak_bytes_per_access(&self) -> f64 {
+        (self.long_peak_bytes as f64 - self.short_peak_bytes as f64)
+            / self.heap_extra_accesses as f64
     }
 }
 
-/// Measures steady-state allocations of the first-touch hot loop by
-/// differencing an N-access and a 2N-access run: identical setup work
-/// cancels, leaving only what the extra N accesses allocated. Returns
-/// `(extra_accesses, extra_allocations)`, or `None` without a probe.
-fn steady_state_allocs(ctx: &RunContext) -> Option<(u64, u64)> {
+/// Last probe measurement taken by [`run`], for the bench target's
+/// gates. Host-side state only.
+static LAST_PROBE: Mutex<Option<SteadyState>> = Mutex::new(None);
+
+/// The measurement taken by the most recent [`run`] in this process,
+/// or `None` when no probe was installed — lets the `micro_engine`
+/// bench target gate on the measurement the figure already took
+/// instead of re-running it.
+pub fn last_steady_state() -> Option<SteadyState> {
+    *LAST_PROBE.lock().expect("probe lock poisoned")
+}
+
+/// Accesses of the short live-heap run; the long run does twice as
+/// many. Fixed rather than scaled: the gate is about growth per access,
+/// and a million accesses is well past the GUPS init sweep.
+const HEAP_PROBE_ACCESSES: u64 = 1_000_000;
+
+/// Measures the steady state by differencing an N-access and a
+/// 2N-access run of each probe cell: identical setup work cancels,
+/// leaving only what the extra N accesses cost. `None` without a probe.
+fn steady_state(ctx: &RunContext) -> Option<SteadyState> {
     alloc_probe::count()?;
     let n = ctx.scale.accesses(150_000);
     let allocs_of = |accesses: u64| -> u64 {
@@ -163,8 +200,29 @@ fn steady_state_allocs(ctx: &RunContext) -> Option<(u64, u64)> {
     };
     let short = allocs_of(n);
     let long = allocs_of(2 * n);
-    let extra = long.saturating_sub(short);
-    LAST_PROBE_ACCESSES.store(n, Ordering::Relaxed);
-    LAST_PROBE_ALLOCS.store(extra, Ordering::Relaxed);
-    Some((n, extra))
+    let peak_of = |accesses: u64| -> u64 {
+        let live = alloc_probe::reset_peak().expect("probe checked above");
+        let report = Experiment::builder()
+            .workload(WorkloadKind::Gups)
+            .policy(PolicyKind::NeoMem)
+            .rss_pages(65_536)
+            .ratio(2)
+            .large_machine(true)
+            .accesses(accesses)
+            .seed(2024)
+            .build()
+            .expect("valid live-heap probe cell")
+            .run();
+        assert_eq!(report.accesses, accesses);
+        alloc_probe::peak_live_bytes().expect("probe checked above") - live
+    };
+    let measured = SteadyState {
+        alloc_extra_accesses: n,
+        extra_allocs: long.saturating_sub(short),
+        heap_extra_accesses: HEAP_PROBE_ACCESSES,
+        short_peak_bytes: peak_of(HEAP_PROBE_ACCESSES),
+        long_peak_bytes: peak_of(2 * HEAP_PROBE_ACCESSES),
+    };
+    *LAST_PROBE.lock().expect("probe lock poisoned") = Some(measured);
+    Some(measured)
 }

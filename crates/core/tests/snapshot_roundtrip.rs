@@ -438,6 +438,36 @@ fn hostile_snapshots_error_instead_of_panicking() {
     let mut empty_state = snap.clone();
     set_field(&mut empty_state, "state", Json::obj([] as [(&str, Json); 0]));
     assert!(restore(&empty_state).is_err());
+
+    // LRU tickets naming a page far beyond the page table (2^36 would
+    // size the list links for 2^36 pages), just past the footprint, or
+    // mapped on the slow tier: pages enter the lists only while on the
+    // fast tier.
+    let fast_frames = experiment(WorkloadKind::Gups, PolicyKind::NeoMem)
+        .config()
+        .memory_config()
+        .fast
+        .capacity_frames;
+    let page_table = ["state", "machine", "kernel", "page_table"]
+        .iter()
+        .try_fold(&snap, |node, key| node.req(key))
+        .expect("page table");
+    let mapped = page_table.req_u64s("mapped").expect("mapped bitmask");
+    let frames = page_table.req_u64s("frames").expect("frame lane");
+    let slow_page = (0..RSS_PAGES as usize)
+        .find(|&p| (mapped[p / 64] >> (p % 64)) & 1 == 1 && frames[p] >= fast_frames)
+        .expect("the run maps some page on the slow tier") as u64;
+    for (page, why) in
+        [(1u64 << 36, "address space"), (RSS_PAGES + 5, "address space"), (slow_page, "fast tier")]
+    {
+        let mut hostile = snap.clone();
+        let lru = at_path(&mut hostile, &["state", "machine", "kernel", "lru"]);
+        let mut am = lru.req_u64s("am").expect("am tickets");
+        *am.last_mut().expect("the Am list is not empty at the cut") = page;
+        set_field(lru, "am", Json::Str(hex_from_u64s(&am)));
+        let err = restore(&hostile).expect_err("a hostile lru page must be rejected");
+        assert!(err.to_string().contains(why), "lru page {page}: {err}");
+    }
 }
 
 /// The value at `path` inside a snapshot: one object key or array
@@ -490,6 +520,18 @@ fn hostile_corun_snapshots_error_instead_of_panicking() {
     }
     let ordinals = Json::Str(hex_from_u64s(&[u64::from(u32::MAX), 0]));
     assert!(restore(&with(&["state", "loop", "epoch_ordinal"], ordinals)).is_err());
+
+    // An occupancy baseline that disagrees with the restored kernel's
+    // fast-tier pages per tenant: u64::MAX would underflow the
+    // cross-tenant eviction count, and 0 would skew it silently.
+    let lanes = ["state", "loop"].iter().try_fold(&snap, |node, key| node.req(key));
+    let lanes = lanes.and_then(|l| l.req_u64s("occ_before")).expect("occupancy baseline").len();
+    for fill in [u64::MAX, 0] {
+        let occ = Json::Str(hex_from_u64s(&vec![fill; lanes]));
+        let err = restore(&with(&["state", "loop", "occ_before"], occ))
+            .expect_err("an occupancy baseline the kernel disagrees with must be rejected");
+        assert!(err.to_string().contains("occ_before"), "occ_before {fill}: {err}");
+    }
 
     // Gutted loop and scheduler state.
     for part in ["loop", "scheduler"] {

@@ -106,6 +106,11 @@ pub struct Kernel {
     /// needed to translate NeoProf's device page reports back to pages
     /// the migration API understands).
     rmap: Vec<Option<VirtPage>>,
+    /// Region bases, ascending from 0 ([`Kernel::set_regions`]).
+    regions: Vec<u64>,
+    /// Fast-tier pages mapped in each region, kept exact at every site
+    /// that writes the fast tier's reverse map.
+    fast_pages: Vec<u64>,
     /// Rotating cursor for LRU-free victim selection (ablation).
     arbitrary_cursor: u64,
 }
@@ -127,7 +132,45 @@ impl Kernel {
             costs: config.costs,
             stats: KernelStats::default(),
             rmap: vec![None; total_frames],
+            regions: vec![0],
+            fast_pages: vec![0],
             arbitrary_cursor: 0,
+        }
+    }
+
+    /// Splits the address space into regions at `bases` (a co-run's
+    /// tenant bases) and recounts each region's fast-tier pages. The
+    /// default is one region, `[0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bases` starts at 0 and is strictly increasing.
+    pub fn set_regions(&mut self, bases: &[u64]) {
+        assert!(
+            bases.first() == Some(&0) && bases.windows(2).all(|w| w[0] < w[1]),
+            "region bases must start at 0 and be strictly increasing: {bases:?}"
+        );
+        self.regions = bases.to_vec();
+        self.recount_fast_pages();
+    }
+
+    /// The region bases set by [`Kernel::set_regions`].
+    pub fn regions(&self) -> &[u64] {
+        &self.regions
+    }
+
+    /// Fast-tier pages mapped in each region, in region order.
+    pub fn fast_pages_by_region(&self) -> &[u64] {
+        &self.fast_pages
+    }
+
+    /// Recounts [`Kernel::fast_pages_by_region`] from the fast tier's
+    /// reverse map.
+    fn recount_fast_pages(&mut self) {
+        let fast_frames = self.memory.slow_base().index() as usize;
+        self.fast_pages = vec![0; self.regions.len()];
+        for vpage in self.rmap[..fast_frames].iter().copied().flatten() {
+            self.fast_pages[region_of(&self.regions, vpage)] += 1;
         }
     }
 
@@ -188,6 +231,7 @@ impl Kernel {
         self.stats.minor_faults += 1;
         if self.memory.tier_of(frame).is_fast() {
             self.lru.insert(vpage);
+            self.fast_pages[region_of(&self.regions, vpage)] += 1;
         }
         Ok(frame)
     }
@@ -339,6 +383,13 @@ impl Kernel {
         self.memory.free(old_frame);
         self.rmap[old_frame.index() as usize] = None;
         self.rmap[new_frame.index() as usize] = Some(vpage);
+        let region = region_of(&self.regions, vpage);
+        if src_tier.is_fast() {
+            self.fast_pages[region] -= 1;
+        }
+        if dst_tier.is_fast() {
+            self.fast_pages[region] += 1;
+        }
         // The copy streams through migration kthreads: source read and
         // destination write overlap, so the slower channel dominates;
         // only the configured fraction lands on the app's critical path
@@ -352,14 +403,6 @@ impl Kernel {
         self.page_table.update(vpage, |pte| pte.poisoned = false)?;
         self.stats.hint_faults += 1;
         Ok(self.costs.hint_fault)
-    }
-
-    /// The reverse map of the fast tier, frame-indexed: `rmap[f]` is the
-    /// virtual page backed by fast frame `f`, or `None` while the frame
-    /// is free. Lets occupancy accounting sweep the fast tier as one
-    /// dense slice instead of per-frame lookups.
-    pub fn fast_rmap(&self) -> &[Option<VirtPage>] {
-        &self.rmap[..self.memory.slow_base().index() as usize]
     }
 
     /// Borrows the page table.
@@ -420,17 +463,18 @@ impl Kernel {
     }
 
     /// Restores [`Kernel::snapshot`] state onto a kernel built with the
-    /// same configuration, rebuilding the rmap from the page table.
+    /// same configuration, rebuilding the rmap from the page table and
+    /// recounting each region's fast-tier pages.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] on missing/malformed fields, component
     /// state sized for a different configuration, a mapped frame outside
-    /// the physical frame space, or two pages mapped to one frame.
+    /// the physical frame space, two pages mapped to one frame, or an
+    /// LRU page the page table does not map on the fast tier.
     pub fn restore(&mut self, snap: &Json) -> Result<()> {
         self.memory.restore(snap.req("memory")?)?;
         self.page_table.restore(snap.req("page_table")?)?;
-        self.lru.restore(snap.req("lru")?)?;
         self.stats = KernelStats {
             promotions: snap.req_u64("promotions")?,
             demotions: snap.req_u64("demotions")?,
@@ -454,8 +498,18 @@ impl Kernel {
             }
             *slot = Some(vpage);
         }
+        let (page_table, memory) = (&self.page_table, &self.memory);
+        self.lru.restore(snap.req("lru")?, page_table.span(), |vpage| {
+            page_table.frame_of(vpage).is_some_and(|frame| memory.tier_of(frame).is_fast())
+        })?;
+        self.recount_fast_pages();
         Ok(())
     }
+}
+
+/// The region of `vpage`: the last region whose base is ≤ the page.
+fn region_of(regions: &[u64], vpage: VirtPage) -> usize {
+    regions.partition_point(|&b| b <= vpage.index()) - 1
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! from the cold end of `A1in` first (touched once, never again), then
 //! from the LRU end of `Am`.
 
-use std::collections::VecDeque;
-
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{Error, Result, VirtPage};
+
+/// Link sentinel: no neighbour, or an empty list end.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Queue {
@@ -19,9 +20,9 @@ enum Queue {
 
 /// Dense side-table state byte: the page is not tracked.
 const STATE_NONE: u8 = 0;
-/// Dense side-table state byte: the live ticket sits in `A1in`.
+/// Dense side-table state byte: the page sits in `A1in`.
 const STATE_A1IN: u8 = 1;
-/// Dense side-table state byte: the live ticket sits in `Am`.
+/// Dense side-table state byte: the page sits in `Am`.
 const STATE_AM: u8 = 2;
 
 impl Queue {
@@ -33,25 +34,42 @@ impl Queue {
     }
 }
 
+/// The cold (`head`) and hot (`tail`) ends of one list.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Ends {
+    fn default() -> Self {
+        Self { head: NIL, tail: NIL }
+    }
+}
+
 /// A 2Q structure over the fast tier's resident pages.
 ///
-/// Uses lazy deletion: queues store `(seq, page)` tickets and a dense
-/// side table records each page's live ticket, so `on_access` is O(1)
-/// amortised. The side table is structure-of-arrays — a `u64` sequence
-/// lane and a one-byte queue-state lane, both indexed by page number —
-/// so the `record_fast_access` hot path touches one byte to test
-/// membership instead of a 16-byte `Option<Entry>`. Pages are dense in
-/// `0..rss_pages` and the table is only ever keyed, never iterated.
+/// Both queues are intrusive doubly-linked lists threaded through
+/// `prev`/`next` lanes indexed by page number, so every operation is
+/// O(1) and the structure holds exactly one entry per tracked page,
+/// however long the run. A one-byte state lane records which list (if
+/// any) holds each page, so the `record_fast_access` hot path tests
+/// membership with one byte. Pages are dense in `0..rss_pages`, and
+/// footprints are capped below 2^31 pages, so `u32` links suffice.
 #[derive(Debug, Clone, Default)]
 pub struct Lru2Q {
-    /// Sequence of each page's live ticket; meaningful only where the
-    /// matching `states` byte is not [`STATE_NONE`].
-    seqs: Vec<u64>,
-    /// Which queue (if any) holds each page's live ticket.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Which list (if any) holds each page.
     states: Vec<u8>,
+    /// Sequence number of each page's last enqueue, meaningful only
+    /// where the matching `states` byte is not [`STATE_NONE`]. Eviction
+    /// order never reads it: it exists for the snapshot wire format,
+    /// which stores `(seq, page)` pairs.
+    seqs: Vec<u64>,
+    a1in: Ends,
+    am: Ends,
     live: usize,
-    a1in: VecDeque<(u64, u64)>,
-    am: VecDeque<(u64, u64)>,
     next_seq: u64,
 }
 
@@ -77,48 +95,64 @@ impl Lru2Q {
         matches!(self.states.get(page.index() as usize), Some(s) if *s != STATE_NONE)
     }
 
-    #[inline]
-    fn live_at(&self, page: u64, seq: u64, which: Queue) -> bool {
-        let idx = page as usize;
-        matches!(self.states.get(idx), Some(s) if *s == which.state()) && self.seqs[idx] == seq
+    /// Grows the lanes to cover `page`.
+    fn cover(&mut self, page: u64) {
+        assert!(page < u64::from(NIL), "page {page} does not fit the u32 link lanes");
+        let len = page as usize + 1;
+        if len > self.states.len() {
+            self.prev.resize(len, NIL);
+            self.next.resize(len, NIL);
+            self.states.resize(len, STATE_NONE);
+            self.seqs.resize(len, 0);
+        }
     }
 
-    fn set(&mut self, page: u64, queue: Queue, seq: u64) {
-        let idx = page as usize;
-        if idx >= self.states.len() {
-            self.states.resize(idx + 1, STATE_NONE);
-            self.seqs.resize(idx + 1, 0);
+    /// Links an untracked, covered page at the hot end of `queue`.
+    fn link_tail(&mut self, idx: usize, queue: Queue, seq: u64) {
+        let ends = match queue {
+            Queue::A1in => &mut self.a1in,
+            Queue::Am => &mut self.am,
+        };
+        self.prev[idx] = ends.tail;
+        self.next[idx] = NIL;
+        match ends.tail {
+            NIL => ends.head = idx as u32,
+            tail => self.next[tail as usize] = idx as u32,
         }
-        if self.states[idx] == STATE_NONE {
-            self.live += 1;
-        }
+        ends.tail = idx as u32;
         self.states[idx] = queue.state();
         self.seqs[idx] = seq;
+        self.live += 1;
     }
 
-    fn push(&mut self, page: u64, queue: Queue) {
+    /// Unlinks a tracked page from its list.
+    fn unlink(&mut self, idx: usize) {
+        let ends = if self.states[idx] == STATE_A1IN { &mut self.a1in } else { &mut self.am };
+        let (prev, next) = (self.prev[idx], self.next[idx]);
+        match prev {
+            NIL => ends.head = next,
+            prev => self.next[prev as usize] = next,
+        }
+        match next {
+            NIL => ends.tail = prev,
+            next => self.prev[next as usize] = prev,
+        }
+        self.states[idx] = STATE_NONE;
+        self.live -= 1;
+    }
+
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.set(page, queue, seq);
-        match queue {
-            Queue::A1in => self.a1in.push_back((seq, page)),
-            Queue::Am => self.am.push_back((seq, page)),
-        }
-    }
-
-    fn clear_slot(&mut self, page: u64) {
-        if let Some(state) = self.states.get_mut(page as usize) {
-            if *state != STATE_NONE {
-                *state = STATE_NONE;
-                self.live -= 1;
-            }
-        }
+        seq
     }
 
     /// Registers a page newly resident on the fast tier.
     pub fn insert(&mut self, page: VirtPage) {
         if !self.contains(page) {
-            self.push(page.index(), Queue::A1in);
+            self.cover(page.index());
+            let seq = self.take_seq();
+            self.link_tail(page.index() as usize, Queue::A1in, seq);
         }
     }
 
@@ -126,33 +160,20 @@ impl Lru2Q {
     /// to `Am`; `Am` pages refresh to most-recently-used.
     #[inline]
     pub fn on_access(&mut self, page: VirtPage) {
-        let key = page.index();
         if self.contains(page) {
-            // Both transitions re-enqueue at the hot end of Am.
-            self.push(key, Queue::Am);
+            // Both transitions move the page to the hot end of Am.
+            let idx = page.index() as usize;
+            self.unlink(idx);
+            let seq = self.take_seq();
+            self.link_tail(idx, Queue::Am, seq);
         }
     }
 
     /// Stops tracking a page (demoted or unmapped).
     pub fn remove(&mut self, page: VirtPage) {
-        self.clear_slot(page.index());
-        // Queue tickets expire lazily.
-    }
-
-    fn pop_live(
-        queue: &mut VecDeque<(u64, u64)>,
-        states: &[u8],
-        seqs: &[u64],
-        which: Queue,
-    ) -> Option<u64> {
-        while let Some(&(seq, page)) = queue.front() {
-            queue.pop_front();
-            let idx = page as usize;
-            if matches!(states.get(idx), Some(s) if *s == which.state()) && seqs[idx] == seq {
-                return Some(page);
-            }
+        if self.contains(page) {
+            self.unlink(page.index() as usize);
         }
-        None
     }
 
     /// Pops up to `n` cold victims: probationary-FIFO first, then LRU.
@@ -162,66 +183,56 @@ impl Lru2Q {
         // drain, so cap the allocation hint at what can actually pop.
         let mut victims = Vec::with_capacity(n.min(self.live));
         while victims.len() < n {
-            let from_a1 = Self::pop_live(&mut self.a1in, &self.states, &self.seqs, Queue::A1in);
-            let page = match from_a1 {
-                Some(p) => Some(p),
-                None => Self::pop_live(&mut self.am, &self.states, &self.seqs, Queue::Am),
-            };
-            match page {
-                Some(p) => {
-                    self.clear_slot(p);
-                    victims.push(VirtPage::new(p));
-                }
-                None => break,
+            let head = if self.a1in.head != NIL { self.a1in.head } else { self.am.head };
+            if head == NIL {
+                break;
             }
+            self.unlink(head as usize);
+            victims.push(VirtPage::new(u64::from(head)));
         }
         victims
     }
 
-    /// Compacts the lazy queues (call occasionally in long runs).
-    pub fn compact(&mut self) {
-        let (states, seqs) = (&self.states, &self.seqs);
-        let live = |seq: u64, page: u64, which: Queue| {
-            let idx = page as usize;
-            matches!(states.get(idx), Some(s) if *s == which.state()) && seqs[idx] == seq
-        };
-        self.a1in.retain(|&(seq, page)| live(seq, page, Queue::A1in));
-        self.am.retain(|&(seq, page)| live(seq, page, Queue::Am));
-    }
-
-    fn live_tickets(&self, queue: &VecDeque<(u64, u64)>, which: Queue) -> Vec<u64> {
-        // Interleaved (seq, page) pairs of live tickets only — expired
-        // lazy-deletion tickets carry no information worth persisting.
+    /// Interleaved `(seq, page)` pairs of one list, coldest first.
+    fn tickets(&self, ends: Ends) -> Vec<u64> {
         let mut out = Vec::new();
-        for &(seq, page) in queue {
-            if self.live_at(page, seq, which) {
-                out.push(seq);
-                out.push(page);
-            }
+        let mut at = ends.head;
+        while at != NIL {
+            out.push(self.seqs[at as usize]);
+            out.push(u64::from(at));
+            at = self.next[at as usize];
         }
         out
     }
 
-    /// Serialises the live queue tickets for a machine snapshot. Expired
-    /// tickets are dropped (equivalent to a [`Lru2Q::compact`]), which
-    /// does not change observable behaviour.
+    /// Serialises both lists for a machine snapshot, coldest first, as
+    /// `(seq, page)` pairs.
     pub fn snapshot(&self) -> Json {
         Json::obj([
-            ("a1in", Json::Str(hex_from_u64s(&self.live_tickets(&self.a1in, Queue::A1in)))),
-            ("am", Json::Str(hex_from_u64s(&self.live_tickets(&self.am, Queue::Am)))),
+            ("a1in", Json::Str(hex_from_u64s(&self.tickets(self.a1in)))),
+            ("am", Json::Str(hex_from_u64s(&self.tickets(self.am)))),
             ("next_seq", Json::U64(self.next_seq)),
         ])
     }
 
     /// Restores [`Lru2Q::snapshot`] state, replacing the current
-    /// contents.
+    /// contents. Pages are linked in file order. `span` is the page
+    /// table's span, and `is_fast` tells whether the restored page table
+    /// maps a page to a fast-tier frame: pages enter the lists only at
+    /// fast allocation and promotion, and leave them at demotion.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] on missing/malformed fields, odd-length
-    /// ticket arrays, a page appearing twice, or a ticket at or beyond
-    /// `next_seq`.
-    pub fn restore(&mut self, snap: &Json) -> Result<()> {
+    /// ticket arrays, a page appearing twice, a ticket at or beyond
+    /// `next_seq`, a page at or beyond `span`, or a page `is_fast`
+    /// rejects.
+    pub fn restore(
+        &mut self,
+        snap: &Json,
+        span: u64,
+        is_fast: impl Fn(VirtPage) -> bool,
+    ) -> Result<()> {
         let next_seq = snap.req_u64("next_seq")?;
         let mut staged = Self { next_seq, ..Self::default() };
         for (key, queue) in [("a1in", Queue::A1in), ("am", Queue::Am)] {
@@ -236,14 +247,22 @@ impl Lru2Q {
                         "{key} ticket sequence {seq} is not below next_seq {next_seq}"
                     )));
                 }
-                if staged.contains(VirtPage::new(page)) {
+                if page >= span.min(u64::from(NIL)) {
+                    return Err(Error::snapshot(format!(
+                        "{key} page {page} is outside the {span}-page address space"
+                    )));
+                }
+                let vpage = VirtPage::new(page);
+                if !is_fast(vpage) {
+                    return Err(Error::snapshot(format!(
+                        "{key} page {page} is not mapped on the fast tier"
+                    )));
+                }
+                if staged.contains(vpage) {
                     return Err(Error::snapshot(format!("page {page} has two live lru tickets")));
                 }
-                staged.set(page, queue, seq);
-                match queue {
-                    Queue::A1in => staged.a1in.push_back((seq, page)),
-                    Queue::Am => staged.am.push_back((seq, page)),
-                }
+                staged.cover(page);
+                staged.link_tail(page as usize, queue, seq);
             }
         }
         *self = staged;
@@ -321,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_behaviour() {
+    fn removed_pages_are_never_evicted() {
         let mut q = Lru2Q::new();
         for i in 0..10 {
             q.insert(vp(i));
@@ -332,7 +351,6 @@ mod tests {
         for i in 0..5 {
             q.remove(vp(i));
         }
-        q.compact();
         // Odd pages 5,7,9 are probationary; even 6,8 are in Am.
         let victims = q.pop_coldest(10);
         assert_eq!(victims, vec![vp(5), vp(7), vp(9), vp(6), vp(8)]);

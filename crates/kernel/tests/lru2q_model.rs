@@ -1,11 +1,12 @@
 //! Model-based property tests for the dense LRU-2Q.
 //!
-//! The production structure ([`neomem_kernel::Lru2Q`]) uses lazy
-//! deletion over `(seq, page)` tickets with a structure-of-arrays side
-//! table; the oracle here is the obviously-correct version: two plain
-//! `Vec`s scanned linearly, no tickets, no dense index. Any operation
-//! sequence must produce identical membership, counts and — the part
-//! lazy deletion is most likely to break — identical eviction order.
+//! The production structure ([`neomem_kernel::Lru2Q`]) threads two
+//! intrusive doubly-linked lists through page-indexed link lanes; the
+//! oracle here is the obviously-correct version: two plain `Vec`s
+//! scanned linearly, no links, no dense index. Any operation sequence
+//! — snapshot round-trips included — must produce identical
+//! membership, counts and, the part link surgery is most likely to
+//! break, identical eviction order.
 
 use neomem_types::VirtPage;
 use neomem_kernel::Lru2Q;
@@ -69,13 +70,13 @@ enum Op {
     Access(u64),
     Remove(u64),
     Pop(usize),
-    Compact,
+    RoundTrip,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // A small page universe maximises collisions: the same page gets
     // inserted, accessed, removed and re-inserted many times per run,
-    // which is exactly the ticket-expiry traffic lazy deletion must
+    // which is exactly the unlink/relink traffic the lists must
     // survive.
     // Inserts and accesses are listed twice: the vendored prop_oneof
     // is unweighted, and runs should mostly mutate membership.
@@ -86,7 +87,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..24).prop_map(Op::Access),
         (0u64..24).prop_map(Op::Remove),
         (1usize..5).prop_map(Op::Pop),
-        Just(Op::Compact),
+        Just(Op::RoundTrip),
     ]
 }
 
@@ -117,10 +118,14 @@ proptest! {
                         dense.pop_coldest(n).iter().map(|v| v.index()).collect();
                     prop_assert_eq!(got, model.pop_coldest(n), "victim order after {:?}", op);
                 }
-                // Compact only touches the dense side: it must be
+                // A snapshot restored into a fresh structure must be
                 // unobservable, so the model deliberately has no
                 // counterpart operation.
-                Op::Compact => dense.compact(),
+                Op::RoundTrip => {
+                    let mut restored = Lru2Q::new();
+                    restored.restore(&dense.snapshot(), 24, |_| true).expect("round-trip");
+                    dense = restored;
+                }
             }
             prop_assert_eq!(dense.len(), model.len());
             for p in 0..24u64 {
@@ -138,28 +143,26 @@ proptest! {
     }
 }
 
-/// The stale-ticket regression the dense index exists to prevent: a
-/// page removed (unmapped) and later re-inserted must behave as a
-/// fresh probationary page — its dead `Am` ticket from the first life
-/// must neither resurrect hot status nor distort the victim order.
+/// A page removed (unmapped) and later re-inserted must behave as a
+/// fresh probationary page — its first life in `Am` must neither
+/// resurrect hot status nor distort the victim order.
 #[test]
 fn reinserted_page_does_not_reuse_stale_ticket() {
     let mut q = Lru2Q::new();
     let p = |i| VirtPage::new(i);
     q.insert(p(1));
     q.on_access(p(1)); // page 1 graduates to Am (hot)
-    q.remove(p(1)); // unmapped — the Am ticket is now stale
+    q.remove(p(1)); // unmapped — unlinked from Am
     q.insert(p(2));
     q.insert(p(1)); // second life: probationary again
-    // FIFO order of the *new* tickets decides; page 1's stale hot
-    // ticket must not save it from probationary eviction.
+    // A1in's FIFO order decides; page 1's first life in Am must not
+    // save it from probationary eviction.
     assert_eq!(q.pop_coldest(2), vec![p(2), p(1)]);
     assert!(q.is_empty(), "no ghost entries left behind");
 }
 
-/// Same shape across a snapshot/restore cycle: stale tickets are
-/// dropped by serialisation, so a restored structure must still evict
-/// in the model's order.
+/// Same shape across a snapshot/restore cycle: a restored structure
+/// must still evict in the model's order.
 #[test]
 fn snapshot_restore_preserves_model_order() {
     let mut q = Lru2Q::new();
@@ -174,7 +177,7 @@ fn snapshot_restore_preserves_model_order() {
     q.on_access(p(3)); // refresh: Am order is now 1, 5, 3
     let snap = q.snapshot();
     let mut restored = Lru2Q::new();
-    restored.restore(&snap).expect("round-trip");
+    restored.restore(&snap, 8, |_| true).expect("round-trip");
     assert_eq!(
         restored.pop_coldest(10),
         vec![p(2), p(4), p(6), p(7), p(1), p(5), p(3)],

@@ -1,7 +1,7 @@
 //! Property-based tests for kernel memory-management invariants.
 
 use neomem_kernel::{Kernel, KernelConfig};
-use neomem_types::{Nanos, Tier, VirtPage};
+use neomem_types::{Nanos, PageNum, Tier, VirtPage};
 use proptest::prelude::*;
 
 /// Random sequences of kernel operations.
@@ -43,6 +43,66 @@ fn apply(kernel: &mut Kernel, op: &Op) {
     }
 }
 
+/// [`Op`] plus the operations that need the kernel's configuration and
+/// regions.
+#[derive(Debug, Clone)]
+enum CountedOp {
+    Kernel(Op),
+    /// A fast-tier capacity-loss window: block the top `n` fast frames,
+    /// demote the pages they hold, then lift the block.
+    CapacityLoss(u64),
+    /// Snapshot, then restore into a fresh kernel with the same regions.
+    RoundTrip,
+}
+
+fn counted_op_strategy(pages: u64) -> impl Strategy<Value = CountedOp> {
+    // The vendored prop_oneof is unweighted: list the kernel operations
+    // three times so they make up most of a run.
+    prop_oneof![
+        op_strategy(pages).prop_map(CountedOp::Kernel),
+        op_strategy(pages).prop_map(CountedOp::Kernel),
+        op_strategy(pages).prop_map(CountedOp::Kernel),
+        (1u64..8).prop_map(CountedOp::CapacityLoss),
+        Just(CountedOp::RoundTrip),
+    ]
+}
+
+fn apply_counted(kernel: &mut Kernel, config: KernelConfig, regions: &[u64], op: &CountedOp) {
+    match op {
+        CountedOp::Kernel(op) => apply(kernel, op),
+        &CountedOp::CapacityLoss(frames) => {
+            let fast = kernel.memory().allocator(Tier::Fast);
+            let ceiling = fast.base().index() + fast.capacity();
+            kernel.memory_mut().allocator_mut(Tier::Fast).set_blocked(frames);
+            let floor = ceiling - kernel.memory().allocator(Tier::Fast).blocked_frames();
+            for frame in floor..ceiling {
+                if let Some(vpage) = kernel.vpage_of(PageNum::new(frame)) {
+                    let _ = kernel.demote(vpage, Nanos::ZERO);
+                }
+            }
+            kernel.memory_mut().allocator_mut(Tier::Fast).set_blocked(0);
+        }
+        CountedOp::RoundTrip => {
+            let mut fresh = Kernel::new(config);
+            fresh.set_regions(regions);
+            fresh.restore(&kernel.snapshot()).expect("a kernel restores its own snapshot");
+            *kernel = fresh;
+        }
+    }
+}
+
+/// Each region's fast-tier pages, by sweeping the fast frames.
+fn sweep_fast_pages(kernel: &Kernel, regions: &[u64]) -> Vec<u64> {
+    let mut counts = vec![0; regions.len()];
+    for frame in 0..kernel.memory().slow_base().index() {
+        if let Some(vpage) = kernel.vpage_of(PageNum::new(frame)) {
+            let region = regions.iter().rposition(|&base| base <= vpage.index()).unwrap();
+            counts[region] += 1;
+        }
+    }
+    counts
+}
+
 proptest! {
     // Fixed case count and no failure-persistence files: runs are
     // deterministic and CI-reproducible.
@@ -74,6 +134,34 @@ proptest! {
                 kernel.vpage_of(pte.frame),
                 Some(vpage),
                 "rmap must invert the page table"
+            );
+        }
+    }
+
+    /// The kernel's per-region fast-page counts equal a sweep of the
+    /// fast frames after every operation: allocations, migrations,
+    /// capacity-loss windows and snapshot round-trips into a fresh
+    /// kernel, under random region bases.
+    #[test]
+    fn fast_page_counts_equal_a_sweep(
+        cuts in prop::collection::vec(1u64..48, 0..4),
+        ops in prop::collection::vec(counted_op_strategy(48), 1..200),
+    ) {
+        let config = KernelConfig::with_frames(16, 48);
+        let mut regions = cuts;
+        regions.push(0);
+        regions.sort_unstable();
+        regions.dedup();
+        let mut kernel = Kernel::new(config);
+        kernel.set_regions(&regions);
+        for op in &ops {
+            apply_counted(&mut kernel, config, &regions, op);
+            let swept = sweep_fast_pages(&kernel, &regions);
+            prop_assert_eq!(
+                kernel.fast_pages_by_region(),
+                swept.as_slice(),
+                "counts diverged from the sweep after {:?}",
+                op
             );
         }
     }

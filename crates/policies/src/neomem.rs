@@ -145,7 +145,7 @@ pub struct NeoMemPolicy {
 struct TenancyState {
     layout: TenantLayout,
     /// Fast-tier occupancy per tenant, refreshed from the kernel's
-    /// reverse map at each migration tick. Promotions performed inside
+    /// per-tenant counts at each migration tick. Promotions performed inside
     /// the tick update the counts incrementally; concurrent demotions
     /// are picked up by the next refresh, which keeps the fairness gate
     /// slightly conservative between refreshes.
@@ -166,7 +166,7 @@ struct TenancyState {
 }
 
 impl TenancyState {
-    /// Recounts each tenant's fast-tier pages from the kernel rmap.
+    /// Copies each tenant's fast-tier page count from the kernel.
     fn refresh(&mut self, kernel: &Kernel) {
         self.layout.count_fast_pages(kernel, &mut self.fast_counts);
     }
@@ -584,7 +584,7 @@ impl TieringPolicy for NeoMemPolicy {
     fn on_tenant_departure(&mut self, tenant: usize) {
         // A departed tenant's history must not throttle it when (and
         // if) it re-arrives; its occupancy count is refreshed from the
-        // rmap at the next migration tick anyway.
+        // kernel at the next migration tick anyway.
         if let Some(state) = &mut self.tenancy {
             if let Some(a) = state.aggression.get_mut(tenant) {
                 *a = 0;
@@ -965,6 +965,7 @@ mod tenancy_tests {
         )
         .unwrap();
         let layout = TenantLayout::new(vec![0, 18], vec![1, 1], Some(1.0)).unwrap();
+        kernel.set_regions(layout.bases());
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         // Hammer four of tenant 1's slow pages: only two may come up.
@@ -1012,6 +1013,7 @@ mod tenancy_tests {
         // under one huge region, after the first region promotes
         // partially (fast tier has only 256 frames anyway).
         let layout = TenantLayout::new(vec![0, 2048], vec![1, 1], Some(1.0)).unwrap();
+        kernel.set_regions(layout.bases());
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         // Hammer hot pages in two different huge regions of tenant 1.
@@ -1067,6 +1069,7 @@ mod tenancy_tests {
         )
         .unwrap();
         let layout = TenantLayout::new(vec![0, 18], vec![1, 1], None).unwrap();
+        kernel.set_regions(layout.bases());
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         hammer(&mut policy, &mut kernel, 20); // tenant 1's page
@@ -1083,7 +1086,7 @@ mod contention_tests {
     use neomem_kernel::KernelConfig;
     use neomem_types::{AccessKind, VirtPage};
 
-    fn contention_policy(kernel: &Kernel, aware: bool) -> NeoMemPolicy {
+    fn contention_policy(kernel: &mut Kernel, aware: bool) -> NeoMemPolicy {
         let mut params = NeoMemParams::scaled(1000);
         params.threshold_mode = ThresholdMode::Fixed(3);
         params.headroom_frac = 0.0;
@@ -1101,6 +1104,7 @@ mod contention_tests {
         .unwrap();
         policy.quota = QuotaMeter::new(params.mquota);
         let layout = TenantLayout::new(vec![0, 18], vec![1, 1], None).unwrap();
+        kernel.set_regions(layout.bases());
         policy.configure_tenants(&layout);
         policy
     }
@@ -1134,11 +1138,11 @@ mod contention_tests {
         // Same hot set, same quota — the aggressor-flagged run must
         // promote fewer pages than the clean run.
         let mut clean_kernel = setup_kernel();
-        let mut clean = contention_policy(&clean_kernel, true);
+        let mut clean = contention_policy(&mut clean_kernel, true);
         clean.maybe_tick(&mut clean_kernel, Nanos::ZERO);
 
         let mut flagged_kernel = setup_kernel();
-        let mut flagged = contention_policy(&flagged_kernel, true);
+        let mut flagged = contention_policy(&mut flagged_kernel, true);
         flagged.maybe_tick(&mut flagged_kernel, Nanos::ZERO);
         // Tenant 1 caused 8 cross-tenant eviction pages → penalty 3.
         flagged.note_cross_tenant_evictions(1, 8);
@@ -1160,8 +1164,8 @@ mod contention_tests {
 
     #[test]
     fn plain_neomem_ignores_the_signal() {
-        let kernel = setup_kernel();
-        let mut policy = contention_policy(&kernel, false);
+        let mut kernel = setup_kernel();
+        let mut policy = contention_policy(&mut kernel, false);
         policy.note_cross_tenant_evictions(1, 1_000_000);
         let state = policy.tenancy.as_ref().unwrap();
         assert_eq!(state.aggression, vec![0, 0], "plain NeoMem accumulates nothing");
@@ -1171,7 +1175,7 @@ mod contention_tests {
     #[test]
     fn aggression_decays_and_departure_clears_it() {
         let mut kernel = setup_kernel();
-        let mut policy = contention_policy(&kernel, true);
+        let mut policy = contention_policy(&mut kernel, true);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         policy.note_cross_tenant_evictions(0, 16);
         assert_eq!(policy.tenancy.as_ref().unwrap().aggression[0], 16);
@@ -1191,11 +1195,11 @@ mod contention_tests {
 
     #[test]
     fn contention_aware_name_is_distinct() {
-        let kernel = setup_kernel();
-        assert_eq!(contention_policy(&kernel, true).name(), "NeoMem-CA");
+        let mut kernel = setup_kernel();
+        assert_eq!(contention_policy(&mut kernel, true).name(), "NeoMem-CA");
         // The fixture pins the threshold, so the non-aware variant
         // reports the fixed-θ name.
-        assert_eq!(contention_policy(&kernel, false).name(), "NeoMem-fixed");
+        assert_eq!(contention_policy(&mut kernel, false).name(), "NeoMem-fixed");
     }
 }
 

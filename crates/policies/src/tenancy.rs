@@ -58,6 +58,11 @@ impl TenantLayout {
         self.bases.len()
     }
 
+    /// Each tenant's base page offset, in tenant order.
+    pub fn bases(&self) -> &[u64] {
+        &self.bases
+    }
+
     /// The owning tenant of a global virtual page: the last tenant
     /// whose base is ≤ the page index. Pages past the last tenant's
     /// range still map to the last tenant (the layout doesn't know the
@@ -91,24 +96,21 @@ impl TenantLayout {
         })
     }
 
-    /// Counts each tenant's fast-tier pages from the kernel's reverse
-    /// map into `out` (one slot per tenant, overwritten). The single
-    /// source of truth for occupancy accounting — the co-run engine's
-    /// attribution and NeoMem's fairness gate both use it, so they can
-    /// never diverge.
+    /// Copies each tenant's fast-tier page count from the kernel into
+    /// `out` (one slot per tenant, overwritten). The kernel keeps the
+    /// counts exact per region, and the co-run engine sets its regions
+    /// to these bases ([`neomem_kernel::Kernel::set_regions`]). The
+    /// single source of truth for occupancy accounting — the co-run
+    /// engine's attribution and NeoMem's fairness gate both read it, so
+    /// they can never diverge.
     ///
     /// # Panics
     ///
-    /// Panics when `out` is shorter than the tenant count.
+    /// Panics when `out` is shorter than the tenant count, or when the
+    /// kernel's regions are not this layout's bases.
     pub fn count_fast_pages(&self, kernel: &neomem_kernel::Kernel, out: &mut [u64]) {
-        assert!(out.len() >= self.tenant_count(), "occupancy buffer too short");
-        out.iter_mut().for_each(|c| *c = 0);
-        // One dense sweep of the fast tier's reverse map. With tenant
-        // bases sorted, `partition_point` over the handful of bases is
-        // branch-predictable; the sweep itself is bounds-check-free.
-        for vpage in kernel.fast_rmap().iter().copied().flatten() {
-            out[self.tenant_of(vpage)] += 1;
-        }
+        assert_eq!(kernel.regions(), self.bases(), "kernel regions are not the tenant bases");
+        out[..self.tenant_count()].copy_from_slice(kernel.fast_pages_by_region());
     }
 }
 

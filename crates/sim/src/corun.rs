@@ -37,13 +37,14 @@
 //! Slices run one tenant at a time, so per-tenant metrics are exact
 //! deltas of the shared counters around each slice: memory-node
 //! traffic, migrations, faults and elapsed virtual time are charged to
-//! the tenant whose slice produced them. Fast-tier occupancy is scanned
-//! at every slice boundary, which also exposes *cross-tenant
-//! evictions*: the net fast-tier occupancy an idle tenant lost while
-//! another tenant's slice ran. Net, because the scans see occupancy,
-//! not individual migrations — a slice that demotes three of an idle
-//! tenant's pages and promotes two of them back counts one; the
-//! number is a lower bound on gross cross-tenant demotions.
+//! the tenant whose slice produced them. Fast-tier occupancy is read
+//! from the kernel's per-tenant counts at every slice boundary, which
+//! also exposes *cross-tenant evictions*: the net fast-tier occupancy
+//! an idle tenant lost while another tenant's slice ran. Net, because
+//! the counts see occupancy, not individual migrations — a slice that
+//! demotes three of an idle tenant's pages and promotes two of them
+//! back counts one; the number is a lower bound on gross cross-tenant
+//! demotions.
 
 use neomem_kernel::KernelStats;
 use neomem_mem::NodeStats;
@@ -135,7 +136,7 @@ struct Lane {
     markers: u64,
     evicted_by_others: u64,
     evictions_caused: u64,
-    /// Sum of fast-tier occupancy over slice-boundary scans.
+    /// Sum of fast-tier occupancy over slice boundaries.
     occupancy_sum: u64,
 }
 
@@ -158,14 +159,6 @@ impl Counters {
             fast: memory.node(Tier::Fast).stats(),
             kernel: machine.kernel.stats(),
         }
-    }
-
-    /// Whether fast-tier occupancy may have moved since `before`: it
-    /// only moves through allocations, promotions and demotions.
-    fn occupancy_moved(&self, before: &Self) -> bool {
-        self.kernel.promotions != before.kernel.promotions
-            || self.kernel.demotions != before.kernel.demotions
-            || self.kernel.minor_faults != before.kernel.minor_faults
     }
 }
 
@@ -324,7 +317,8 @@ impl CoRunSimulation {
         }
         let layout = TenantLayout::new(mix.bases(), mix.weights(), config.fast_share_cap)?;
         policy.configure_tenants(&layout);
-        let machine = Machine::new(config.sim.clone(), policy)?;
+        let mut machine = Machine::new(config.sim.clone(), policy)?;
+        machine.kernel.set_regions(layout.bases());
         let lanes = mix
             .tenants()
             .iter()
@@ -438,7 +432,7 @@ impl CoRunSimulation {
                 ("machine", self.machine.snapshot()),
                 ("scheduler", self.scheduler.snapshot_state()),
                 ("lanes", Json::Arr(self.lanes.iter().map(Lane::snapshot).collect())),
-                ("loop", state.snapshot()),
+                ("loop", state.snapshot(self.machine.kernel.fast_pages_by_region())),
             ]),
         )
     }
@@ -494,7 +488,11 @@ impl CoRunSimulation {
         self.layout = layout;
         self.machine.restore(state_json.req("machine")?)?;
         self.scheduler.restore_state(state_json.req("scheduler")?)?;
-        let mut state = CoRunState::restore(state_json.req("loop")?, &self.lanes)?;
+        let mut state = CoRunState::restore(
+            state_json.req("loop")?,
+            &self.lanes,
+            self.machine.kernel.fast_pages_by_region(),
+        )?;
         for lane in &mut self.lanes {
             let consumed = lane.events_consumed();
             snapshot::fast_forward(lane.workload.as_mut(), consumed);
@@ -506,12 +504,9 @@ impl CoRunSimulation {
     /// The run state of a co-run that has not started yet.
     fn fresh_state(&self) -> CoRunState {
         let tenant_count = self.lanes.len();
-        let mut occ_before = vec![0u64; tenant_count];
-        self.layout.count_fast_pages(&self.machine.kernel, &mut occ_before);
         CoRunState {
             core: LoopState::fresh(&self.machine.config),
             occupancy_timeline: Vec::new(),
-            occ_before,
             rounds: 0,
             slices: 0,
             cross_tenant_evictions: 0,
@@ -538,10 +533,8 @@ impl CoRunSimulation {
     fn run_core(&mut self, state: &mut CoRunState, cut: Option<Nanos>) {
         let limit = self.machine.config.max_time;
         let max_accesses = self.machine.config.max_accesses;
-        // Slice-boundary occupancy scans: `state.occ_before` holds the
-        // scan entering the current slice, `occ_after` is the fresh
-        // scan at its end (and becomes the next slice's `before`).
-        let mut occ_after = vec![0u64; self.lanes.len()];
+        // Each tenant's fast-tier pages entering the current slice.
+        let mut occ_before = vec![0u64; self.lanes.len()];
 
         loop {
             let clock = state.core.clock;
@@ -575,10 +568,6 @@ impl CoRunSimulation {
                         Self::reclaim_fast_pages(&mut self.machine, &self.layout, lane, clock);
                     state.core.clock += reclaim;
                     self.lanes[lane].charge(&before, &Counters::of(&self.machine), reclaim);
-                    // The occupancy baseline moved: rescan so the next
-                    // slice's cross-tenant accounting cannot blame its
-                    // tenant for the departure reclaim.
-                    self.layout.count_fast_pages(&self.machine.kernel, &mut state.occ_before);
                     if let Some(mark) = state.open_epochs[lane].take() {
                         let end = state.core.clock;
                         let epoch =
@@ -614,15 +603,8 @@ impl CoRunSimulation {
                     // service what is due once, so daemons stay alive
                     // across it.
                     state.core.clock = clock.max(target);
-                    let mut on_sample =
-                        record_occupancy(&self.layout, &mut state.occupancy_timeline);
-                    if service_deadlines(&mut self.machine, &mut state.core, &mut on_sample) {
-                        // A fault edge or tick may have migrated pages:
-                        // rescan the baseline so the next slice's
-                        // tenant isn't blamed for occupancy that moved
-                        // while nobody ran.
-                        self.layout.count_fast_pages(&self.machine.kernel, &mut state.occ_before);
-                    }
+                    let mut on_sample = record_occupancy(&mut state.occupancy_timeline);
+                    service_deadlines(&mut self.machine, &mut state.core, &mut on_sample);
                     continue;
                 }
             };
@@ -630,6 +612,7 @@ impl CoRunSimulation {
             // The slice: this tenant's events, relocated into its
             // namespace, through the one event loop.
             let before = Counters::of(&self.machine);
+            occ_before.copy_from_slice(self.machine.kernel.fast_pages_by_region());
             let accesses_before = state.core.accesses;
             let markers_before = state.core.markers.len();
             let lane = &mut self.lanes[lane_idx];
@@ -640,28 +623,21 @@ impl CoRunSimulation {
                 slice_events as u64,
                 &mut state.core,
                 None,
-                record_occupancy(&self.layout, &mut state.occupancy_timeline),
+                record_occupancy(&mut state.occupancy_timeline),
             );
             // Attribute the slice deltas to the tenant that ran.
             let after = Counters::of(&self.machine);
             lane.accesses += state.core.accesses - accesses_before;
             lane.markers += (state.core.markers.len() - markers_before) as u64;
             lane.charge(&before, &after, state.core.clock.saturating_sub(clock));
-            // A slice that neither allocated nor migrated keeps the
-            // previous scan: most steady-state slices skip the
-            // O(fast-capacity) rmap walk entirely.
-            if after.occupancy_moved(&before) {
-                self.layout.count_fast_pages(&self.machine.kernel, &mut occ_after);
-            } else {
-                occ_after.copy_from_slice(&state.occ_before);
-            }
             // Cross-tenant evictions: the net fast-tier occupancy idle
             // tenants lost while this slice ran.
             let mut lost_total = 0u64;
-            for (j, &occ) in occ_after.iter().enumerate() {
+            let occ_now = self.machine.kernel.fast_pages_by_region();
+            for (j, (&occ, &was)) in occ_now.iter().zip(&occ_before).enumerate() {
                 self.lanes[j].occupancy_sum += occ;
-                if j != lane_idx && occ < state.occ_before[j] {
-                    let lost = state.occ_before[j] - occ;
+                if j != lane_idx && occ < was {
+                    let lost = was - occ;
                     state.cross_tenant_evictions += lost;
                     lost_total += lost;
                     self.lanes[j].evicted_by_others += lost;
@@ -673,7 +649,6 @@ impl CoRunSimulation {
                 // no-op for everything else — the default hook).
                 self.machine.policy.note_cross_tenant_evictions(lane_idx, lost_total);
             }
-            std::mem::swap(&mut state.occ_before, &mut occ_after);
 
             if stop == Stop::Limit {
                 break;
@@ -686,7 +661,6 @@ impl CoRunSimulation {
         let CoRunState {
             core,
             occupancy_timeline,
-            occ_before,
             rounds,
             slices,
             cross_tenant_evictions,
@@ -706,9 +680,7 @@ impl CoRunSimulation {
         }
         epochs.sort_by_key(|e| (e.tenant, e.epoch));
 
-        // `occ_before` holds the final scan (the slice loop swaps the
-        // fresh scan into it at every boundary).
-        let final_occupancy = occ_before;
+        let final_occupancy = self.machine.kernel.fast_pages_by_region().to_vec();
         let tenants = self
             .lanes
             .iter()
@@ -761,15 +733,11 @@ impl CoRunSimulation {
 
 /// The co-run's sample hook for [`drive`] and [`service_deadlines`]:
 /// every timeline sample gets a per-tenant fast-tier occupancy point
-/// at the same instant, counted by the same
-/// [`TenantLayout::count_fast_pages`] NeoMem's fairness gate uses.
-fn record_occupancy<'a>(
-    layout: &'a TenantLayout,
-    points: &'a mut Vec<OccupancyPoint>,
-) -> impl FnMut(&Machine, Nanos) + 'a {
+/// at the same instant, read from the kernel's per-tenant counts that
+/// NeoMem's fairness gate also reads.
+fn record_occupancy(points: &mut Vec<OccupancyPoint>) -> impl FnMut(&Machine, Nanos) + '_ {
     move |machine, at| {
-        let mut fast_pages = vec![0u64; layout.tenant_count()];
-        layout.count_fast_pages(&machine.kernel, &mut fast_pages);
+        let fast_pages = machine.kernel.fast_pages_by_region().to_vec();
         points.push(OccupancyPoint { at, fast_pages });
     }
 }
@@ -782,9 +750,6 @@ struct CoRunState {
     /// The registers [`drive`] advances, as in a single-tenant run.
     core: LoopState,
     occupancy_timeline: Vec<OccupancyPoint>,
-    /// The occupancy scan entering the current slice (and, at run end,
-    /// the final scan).
-    occ_before: Vec<u64>,
     rounds: u64,
     slices: u64,
     cross_tenant_evictions: u64,
@@ -795,7 +760,9 @@ struct CoRunState {
 
 impl CoRunState {
     /// The single-tenant loop fields first, then the co-run's own.
-    fn snapshot(&self) -> Json {
+    /// `fast_pages` is the kernel's per-tenant count at the cut, written
+    /// as `occ_before`.
+    fn snapshot(&self, fast_pages: &[u64]) -> Json {
         let ordinals: Vec<u64> = self.epoch_ordinal.iter().map(|&x| u64::from(x)).collect();
         let occupancy = self
             .occupancy_timeline
@@ -811,7 +778,7 @@ impl CoRunState {
             self.open_epochs.iter().map(|o| o.as_ref().map_or(Json::Null, EpochMark::snapshot));
         Json::obj(self.core.fields().into_iter().chain([
             ("occupancy_timeline", Json::Arr(occupancy)),
-            ("occ_before", Json::Str(hex_from_u64s(&self.occ_before))),
+            ("occ_before", Json::Str(hex_from_u64s(fast_pages))),
             ("rounds", Json::U64(self.rounds)),
             ("slices", Json::U64(self.slices)),
             ("cross_tenant_evictions", Json::U64(self.cross_tenant_evictions)),
@@ -823,14 +790,15 @@ impl CoRunState {
 
     /// Restores the registers of a co-run over `lanes` (already
     /// restored), rejecting state whose epoch bookkeeping disagrees
-    /// with them.
-    fn restore(state: &Json, lanes: &[Lane]) -> Result<Self> {
+    /// with them, or whose `occ_before` disagrees with `fast_pages`, the
+    /// restored kernel's per-tenant counts.
+    fn restore(state: &Json, lanes: &[Lane], fast_pages: &[u64]) -> Result<Self> {
         let tenant_count = lanes.len();
         let occ_before = state.req_u64s("occ_before")?;
-        if occ_before.len() != tenant_count {
+        if occ_before != fast_pages {
             return Err(Error::snapshot(format!(
-                "occupancy scan has {} lanes, mix has {tenant_count}",
-                occ_before.len()
+                "occ_before {occ_before:?} disagrees with the restored kernel's fast-tier \
+                 pages per tenant {fast_pages:?}"
             )));
         }
         let raw_ordinals = state.req_u64s("epoch_ordinal")?;
@@ -893,7 +861,6 @@ impl CoRunState {
         Ok(Self {
             core: LoopState::restore(state)?,
             occupancy_timeline,
-            occ_before,
             rounds: state.req_u64("rounds")?,
             slices: state.req_u64("slices")?,
             cross_tenant_evictions: state.req_u64("cross_tenant_evictions")?,

@@ -122,24 +122,20 @@ pub(crate) enum Stop {
 /// it at the same instant), then the policy tick, then the timeline
 /// sample, after which `on_sample` sees the machine at the sample's
 /// instant. Every action is guarded by its own deadline, so calling
-/// this early is state-neutral. Returns whether a fault edge or a tick
-/// ran — either may have moved pages.
+/// this early is state-neutral.
 pub(crate) fn service_deadlines(
     machine: &mut Machine,
     state: &mut LoopState,
     on_sample: &mut impl FnMut(&Machine, Nanos),
-) -> bool {
-    let mut moved = false;
+) {
     // An empty fault plan's deadline is `u64::MAX`, so this guard never
     // passes and the healthy path stays bit-identical.
     if state.clock >= machine.faults.deadline() {
         state.clock += machine.fault_tick(state.clock, state.accesses);
-        moved = true;
     }
     if state.clock >= state.next_tick {
         state.clock += machine.policy_tick(state.clock);
         state.next_tick = state.clock + machine.config.tick_quantum;
-        moved = true;
     }
     if state.clock >= state.next_sample {
         state.timeline.push(machine.sample(state));
@@ -148,7 +144,6 @@ pub(crate) fn service_deadlines(
         state.window_start = state.clock;
         state.next_sample = state.clock + machine.config.sample_interval;
     }
-    moved
 }
 
 /// The one event loop both engines run: pulls up to `events` events

@@ -45,7 +45,6 @@ struct Options {
     wall_report: Option<PathBuf>,
     warm_start: Option<PathBuf>,
     machine: Option<String>,
-    compare_wall: Option<PathBuf>,
 }
 
 impl Default for Options {
@@ -58,7 +57,6 @@ impl Default for Options {
             wall_report: None,
             warm_start: None,
             machine: None,
-            compare_wall: None,
         }
     }
 }
@@ -85,7 +83,6 @@ USAGE:
                  [--wall-report FILE] [--warm-start DIR]
     neomem-bench all [--threads N] [--out DIR] [--wall-report FILE] [--warm-start DIR]
     neomem-bench perf <figure>...|all [--threads N] [--out DIR] [--wall-report FILE]
-                      [--compare OLD_WALL_REPORT.json]
     neomem-bench snapshot <figure>...|all --warm-start DIR [--threads N] [--out DIR]
     neomem-bench list
     neomem-bench scenario list
@@ -104,9 +101,6 @@ OPTIONS:
                         scenario file's own machine reference
     --wall-report FILE  write host wall-clock throughput JSON here
                         (perf default: target/wall-reports/perf.wall.json)
-    --compare FILE      after a perf run, print per-figure accesses/s
-                        ratios against this older wall-report (trend
-                        signal only — never affects the exit code)
     --warm-start DIR    per-cell snapshot directory: `snapshot` populates it,
                         runs/gates restore unchanged cells from it instead of
                         replaying them (results stay byte-identical)
@@ -154,9 +148,6 @@ fn parse_args() -> Result<(Command, Options), String> {
             "--wall-report" => {
                 options.wall_report = Some(PathBuf::from(value_for("--wall-report")?))
             }
-            "--compare" => {
-                options.compare_wall = Some(PathBuf::from(value_for("--compare")?))
-            }
             "--warm-start" => {
                 options.warm_start = Some(PathBuf::from(value_for("--warm-start")?))
             }
@@ -190,9 +181,6 @@ fn parse_args() -> Result<(Command, Options), String> {
     }
     if all_flag && keyword.as_deref() != Some("scenario") {
         return Err(format!("--all only applies to `scenario check`\n\n{USAGE}"));
-    }
-    if options.compare_wall.is_some() && keyword.as_deref() != Some("perf") {
-        return Err(format!("--compare only applies to `perf`\n\n{USAGE}"));
     }
     match keyword.as_deref() {
         Some("scenario") => {
@@ -643,16 +631,7 @@ fn main() -> ExitCode {
         Command::Perf(figures) => {
             let default_path = PathBuf::from("target/wall-reports/perf.wall.json");
             let path = options.wall_report.clone().unwrap_or(default_path);
-            run_figures(&figures, &ctx, &options, Some(&path)).and_then(|()| {
-                let Some(old_path) = &options.compare_wall else { return Ok(true) };
-                let old = load_json(old_path)?;
-                let new = load_json(&path)?;
-                let rows = neomem_bench::wallcmp::compare_wall_reports(&old, &new)?;
-                // Host wall-clock ratios are a trend signal, never a
-                // gate: print and succeed regardless of direction.
-                print!("{}", neomem_bench::wallcmp::render(&rows));
-                Ok(true)
-            })
+            run_figures(&figures, &ctx, &options, Some(&path)).map(|()| true)
         }
         Command::Compare(baseline_path, current_path) => {
             load_json(&baseline_path).and_then(|baseline| {

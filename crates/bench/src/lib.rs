@@ -25,7 +25,6 @@ use neomem_runner::ExperimentGrid;
 
 pub mod alloc_probe;
 pub mod figures;
-pub mod wallcmp;
 
 /// Scale knob read from `NEOMEM_SCALE` (`quick` default, `full` = 10×).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

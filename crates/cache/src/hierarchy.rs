@@ -256,14 +256,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Invalidates one line at every level (used by page-migration
-    /// modelling when physically-indexed mode is desired).
-    pub fn invalidate_line(&mut self, line: CacheLine) {
-        self.l1.invalidate(line);
-        self.l2.invalidate(line);
-        self.llc.invalidate(line);
-    }
-
     /// Drops all cached state and statistics.
     pub fn reset(&mut self) {
         self.l1.reset();
@@ -388,15 +380,6 @@ mod tests {
         let line = CacheLine::new(5);
         h.access(line, AccessKind::Read);
         h.reset();
-        assert_eq!(h.access(line, AccessKind::Read).level, HitLevel::Memory);
-    }
-
-    #[test]
-    fn invalidate_line_forces_memory_refetch() {
-        let mut h = hier();
-        let line = CacheLine::new(77);
-        h.access(line, AccessKind::Read);
-        h.invalidate_line(line);
         assert_eq!(h.access(line, AccessKind::Read).level, HitLevel::Memory);
     }
 

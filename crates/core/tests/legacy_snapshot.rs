@@ -1,8 +1,13 @@
-//! Snapshots written before the caches and TLB kept recency ranks still
-//! restore: their per-way recency stamps were sparse per-access ticks
-//! (unique within a level, invalid ways stamped 0, `tick` above every
-//! stamp) rather than `ways - rank`. A live snapshot rewritten into that
-//! form must resume bit-identically to a straight run.
+//! Snapshots written by earlier builds still restore. Each case rewrites
+//! a live snapshot into an older form and must resume bit-identically to
+//! a straight run:
+//!
+//! - before the caches and TLB kept recency ranks, per-way recency
+//!   stamps were sparse per-access ticks (unique within a level, invalid
+//!   ways stamped 0, `tick` above every stamp) rather than `ways - rank`;
+//! - schema version 2 also carried the kernel's `arbitrary_cursor`, the
+//!   sketch's `eager_clear` and the hot-page detector's `bloom`, and
+//!   numbered LRU tickets in enqueue order rather than by list position.
 
 use neomem::prelude::*;
 use neomem::types::json::{hex_from_u64s, Json};
@@ -99,4 +104,137 @@ fn tick_stamped_snapshots_resume_bit_identically() {
             "{kind} / {policy:?}: resume from a tick-stamped snapshot diverged"
         );
     }
+}
+
+/// Rewrites a live snapshot into the version-2 form: the three fields
+/// version 3 dropped come back as that build wrote them, and LRU tickets
+/// carry sparse enqueue-order sequence numbers, interleaved across the
+/// two lists, below a `next_seq` with headroom. Returns how many kernels,
+/// sketches and detectors it rewrote.
+fn version_two(snap: &mut Json) -> [usize; 3] {
+    let mut counts = [0; 3];
+    add_version_two_fields(snap, &mut counts);
+    set_field(snap, "version", Json::U64(2));
+    counts
+}
+
+fn add_version_two_fields(node: &mut Json, counts: &mut [usize; 3]) {
+    match node {
+        Json::Arr(items) => items.iter_mut().for_each(|item| add_version_two_fields(item, counts)),
+        Json::Obj(fields) => {
+            fields.iter_mut().for_each(|(_, child)| add_version_two_fields(child, counts));
+            let has = |key: &str| fields.iter().any(|(k, _)| k == key);
+            let (kernel, sketch, detector) = (
+                has("lru") && has("page_table"),
+                has("stream_len") && has("counters"),
+                has("sketch") && has("threshold"),
+            );
+            if kernel {
+                let lru = &mut fields.iter_mut().find(|(k, _)| k == "lru").expect("lru").1;
+                enqueue_order_tickets(lru);
+                fields.push(("arbitrary_cursor".to_string(), Json::U64(0)));
+                counts[0] += 1;
+            }
+            if sketch {
+                fields.push(("eager_clear".to_string(), Json::Bool(false)));
+                counts[1] += 1;
+            }
+            if detector {
+                fields.push(("bloom".to_string(), Json::Null));
+                counts[2] += 1;
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Renumbers LRU tickets the way version 2 did: by enqueue order, so
+/// numbers rise along each list, interleave across the two lists and
+/// leave gaps, all below `next_seq`.
+fn enqueue_order_tickets(lru: &mut Json) {
+    let mut top = 0;
+    for (key, phase) in [("a1in", 1), ("am", 3)] {
+        let mut tickets = lru.req_u64s(key).expect("tickets");
+        for (i, pair) in tickets.chunks_exact_mut(2).enumerate() {
+            pair[0] = 5 * i as u64 + phase;
+            top = top.max(pair[0]);
+        }
+        set_field(lru, key, Json::Str(hex_from_u64s(&tickets)));
+    }
+    set_field(lru, "next_seq", Json::U64(top + 9));
+}
+
+fn scenario_mix() -> TenantMix {
+    TenantMix::builder()
+        .tenant(WorkloadKind::Gups, 512, SEED)
+        .weighted_tenant(WorkloadKind::Silo, 512, 2, SEED + 1)
+        .build()
+        .expect("valid mix")
+}
+
+fn corun_sim() -> CoRunSimulation {
+    let mut sim = SimConfig::quick(scenario_mix().total_rss_pages(), 2);
+    sim.max_accesses = ACCESSES;
+    let config = CoRunConfig { sim, interleave_quantum: 64, fast_share_cap: None };
+    let policy = build_policy(PolicyKind::NeoMem, &config.sim, 1000, PolicyOverrides::default())
+        .expect("valid policy");
+    CoRunSimulation::new(config, &scenario_mix(), policy).expect("valid co-run simulation")
+}
+
+/// Points the first detector's `bloom` at a filter's state, as a run
+/// with the external Bloom filter would have written it.
+fn with_bloom_state(snap: &Json) -> Json {
+    fn set_first(node: &mut Json) -> bool {
+        match node {
+            Json::Obj(fields) => {
+                if let Some(slot) = fields.iter_mut().find(|(k, _)| k == "bloom") {
+                    slot.1 = Json::obj([("bits", Json::Str(hex_from_u64s(&[1, 0])))]);
+                    return true;
+                }
+                fields.iter_mut().any(|(_, child)| set_first(child))
+            }
+            Json::Arr(items) => items.iter_mut().any(set_first),
+            _ => false,
+        }
+    }
+    let mut hostile = snap.clone();
+    assert!(set_first(&mut hostile), "the snapshot has a detector");
+    hostile
+}
+
+#[test]
+fn version_two_sim_snapshots_resume_bit_identically() {
+    let straight = experiment(WorkloadKind::Gups, PolicyKind::NeoMem).into_simulation().run();
+    let cut = Nanos::new(straight.runtime.as_nanos() / 2);
+    let mut snap =
+        experiment(WorkloadKind::Gups, PolicyKind::NeoMem).into_simulation().snapshot_at(cut);
+    assert_eq!(version_two(&mut snap), [1, 1, 1], "one kernel, sketch and detector");
+    let resumed = experiment(WorkloadKind::Gups, PolicyKind::NeoMem)
+        .into_simulation()
+        .run_from(&snap)
+        .expect("version-2 snapshot restores");
+    assert_eq!(format!("{resumed:?}"), format!("{straight:?}"), "version-2 resume diverged");
+
+    let err = experiment(WorkloadKind::Gups, PolicyKind::NeoMem)
+        .into_simulation()
+        .run_from(&with_bloom_state(&snap))
+        .expect_err("external bloom filter state must be rejected");
+    assert!(matches!(err, neomem::Error::Snapshot { .. }), "{err}");
+    assert!(err.to_string().contains("bloom"), "{err}");
+}
+
+#[test]
+fn version_two_corun_snapshots_resume_bit_identically() {
+    let straight = corun_sim().run();
+    let cut = Nanos::new(straight.combined.runtime.as_nanos() / 2);
+    let mut snap = corun_sim().snapshot_at(cut);
+    assert_eq!(version_two(&mut snap), [1, 1, 1], "one kernel, sketch and detector");
+    let resumed = corun_sim().run_from(&snap).expect("version-2 co-run snapshot restores");
+    assert_eq!(format!("{resumed:?}"), format!("{straight:?}"), "version-2 resume diverged");
+
+    let err = corun_sim()
+        .run_from(&with_bloom_state(&snap))
+        .expect_err("external bloom filter state must be rejected");
+    assert!(matches!(err, neomem::Error::Snapshot { .. }), "{err}");
+    assert!(err.to_string().contains("bloom"), "{err}");
 }

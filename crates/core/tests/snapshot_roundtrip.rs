@@ -468,6 +468,16 @@ fn hostile_snapshots_error_instead_of_panicking() {
         let err = restore(&hostile).expect_err("a hostile lru page must be rejected");
         assert!(err.to_string().contains(why), "lru page {page}: {err}");
     }
+
+    // An LRU ticket counter at the top of its range: tickets only record
+    // list order, so nothing counts on from it and the run finishes as
+    // if uninterrupted.
+    let mut top_seq = snap.clone();
+    let lru = at_path(&mut top_seq, &["state", "machine", "kernel", "lru"]);
+    set_field(lru, "next_seq", Json::U64(u64::MAX));
+    let resumed = restore(&top_seq).expect("next_seq = u64::MAX restores");
+    let straight = experiment(WorkloadKind::Gups, PolicyKind::NeoMem).into_simulation().run();
+    assert_eq!(format!("{resumed:?}"), format!("{straight:?}"), "next_seq = u64::MAX diverged");
 }
 
 /// The value at `path` inside a snapshot: one object key or array

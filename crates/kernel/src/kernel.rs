@@ -111,8 +111,6 @@ pub struct Kernel {
     /// Fast-tier pages mapped in each region, kept exact at every site
     /// that writes the fast tier's reverse map.
     fast_pages: Vec<u64>,
-    /// Rotating cursor for LRU-free victim selection (ablation).
-    arbitrary_cursor: u64,
 }
 
 impl Kernel {
@@ -134,7 +132,6 @@ impl Kernel {
             rmap: vec![None; total_frames],
             regions: vec![0],
             fast_pages: vec![0],
-            arbitrary_cursor: 0,
         }
     }
 
@@ -325,29 +322,6 @@ impl Kernel {
         Ok(elapsed)
     }
 
-    /// Demotes up to `n` fast-resident pages chosen *without* recency
-    /// information — the "random demotion" ablation contrasted with
-    /// LRU-2Q victim selection (DESIGN.md decision #5). A rotating
-    /// cursor over the fast frame window keeps it deterministic.
-    pub fn demote_arbitrary(&mut self, n: usize, now: Nanos) -> (Vec<VirtPage>, Nanos) {
-        let fast_frames = self.memory.allocator(Tier::Fast).capacity();
-        let mut total = Nanos::ZERO;
-        let mut demoted = Vec::new();
-        let mut scanned = 0;
-        while demoted.len() < n && scanned < fast_frames {
-            // A co-prime stride visits all frames in a shuffled order.
-            self.arbitrary_cursor = (self.arbitrary_cursor + 97) % fast_frames;
-            scanned += 1;
-            let frame = PageNum::new(self.arbitrary_cursor);
-            let Some(vpage) = self.vpage_of(frame) else { continue };
-            if let Ok(t) = self.demote(vpage, now + total) {
-                total += t;
-                demoted.push(vpage);
-            }
-        }
-        (demoted, total)
-    }
-
     /// Demotes up to `n` LRU-cold pages; returns the victims and the
     /// total time charged.
     pub fn demote_coldest(&mut self, n: usize, now: Nanos) -> (Vec<VirtPage>, Nanos) {
@@ -458,13 +432,14 @@ impl Kernel {
             ("minor_faults", Json::U64(self.stats.minor_faults)),
             ("hint_faults", Json::U64(self.stats.hint_faults)),
             ("migration_time", Json::U64(self.stats.migration_time.as_nanos())),
-            ("arbitrary_cursor", Json::U64(self.arbitrary_cursor)),
         ])
     }
 
     /// Restores [`Kernel::snapshot`] state onto a kernel built with the
     /// same configuration, rebuilding the rmap from the page table and
-    /// recounting each region's fast-tier pages.
+    /// recounting each region's fast-tier pages. The `arbitrary_cursor`
+    /// that snapshot versions 1–2 carry is ignored: it drove a victim
+    /// selector that no longer exists.
     ///
     /// # Errors
     ///
@@ -486,7 +461,6 @@ impl Kernel {
             hint_faults: snap.req_u64("hint_faults")?,
             migration_time: Nanos::new(snap.req_u64("migration_time")?),
         };
-        self.arbitrary_cursor = snap.req_u64("arbitrary_cursor")?;
         self.rmap.fill(None);
         for (vpage, pte) in self.page_table.iter() {
             let idx = pte.frame.index() as usize;
@@ -646,41 +620,6 @@ mod tests {
     fn translate_unmapped_errors() {
         let k = kernel(1, 1);
         assert!(k.translate(VirtPage::new(0)).is_err());
-    }
-}
-
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-
-    #[test]
-    fn arbitrary_demotion_ignores_recency() {
-        let mut k = Kernel::new(KernelConfig::with_frames(4, 8));
-        for p in 0..4 {
-            k.touch_alloc(VirtPage::new(p), Nanos::ZERO).unwrap();
-        }
-        // Heat up page 0 heavily; arbitrary demotion may still pick it.
-        for _ in 0..10 {
-            k.record_fast_access(VirtPage::new(0));
-        }
-        let (victims, t) = k.demote_arbitrary(2, Nanos::ZERO);
-        assert_eq!(victims.len(), 2);
-        assert!(t > Nanos::ZERO);
-        assert_eq!(k.stats().demotions, 2);
-        for v in victims {
-            assert!(k.tier_of(v).unwrap().is_slow());
-        }
-    }
-
-    #[test]
-    fn arbitrary_demotion_stops_when_fast_tier_empty() {
-        let mut k = Kernel::new(KernelConfig::with_frames(2, 8));
-        k.touch_alloc(VirtPage::new(0), Nanos::ZERO).unwrap();
-        let (victims, _) = k.demote_arbitrary(5, Nanos::ZERO);
-        assert_eq!(victims.len(), 1, "only one fast page existed");
-        let (none, t) = k.demote_arbitrary(5, Nanos::ZERO);
-        assert!(none.is_empty());
-        assert_eq!(t, Nanos::ZERO);
     }
 }
 

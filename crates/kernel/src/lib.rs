@@ -41,7 +41,6 @@ mod kernel;
 mod lru2q;
 mod page_table;
 mod thp;
-pub mod virt;
 
 pub use kernel::{Kernel, KernelConfig, KernelStats, MigrationCosts};
 pub use lru2q::Lru2Q;

@@ -62,15 +62,9 @@ pub struct Lru2Q {
     next: Vec<u32>,
     /// Which list (if any) holds each page.
     states: Vec<u8>,
-    /// Sequence number of each page's last enqueue, meaningful only
-    /// where the matching `states` byte is not [`STATE_NONE`]. Eviction
-    /// order never reads it: it exists for the snapshot wire format,
-    /// which stores `(seq, page)` pairs.
-    seqs: Vec<u64>,
     a1in: Ends,
     am: Ends,
     live: usize,
-    next_seq: u64,
 }
 
 impl Lru2Q {
@@ -103,12 +97,11 @@ impl Lru2Q {
             self.prev.resize(len, NIL);
             self.next.resize(len, NIL);
             self.states.resize(len, STATE_NONE);
-            self.seqs.resize(len, 0);
         }
     }
 
     /// Links an untracked, covered page at the hot end of `queue`.
-    fn link_tail(&mut self, idx: usize, queue: Queue, seq: u64) {
+    fn link_tail(&mut self, idx: usize, queue: Queue) {
         let ends = match queue {
             Queue::A1in => &mut self.a1in,
             Queue::Am => &mut self.am,
@@ -121,7 +114,6 @@ impl Lru2Q {
         }
         ends.tail = idx as u32;
         self.states[idx] = queue.state();
-        self.seqs[idx] = seq;
         self.live += 1;
     }
 
@@ -141,18 +133,11 @@ impl Lru2Q {
         self.live -= 1;
     }
 
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
     /// Registers a page newly resident on the fast tier.
     pub fn insert(&mut self, page: VirtPage) {
         if !self.contains(page) {
             self.cover(page.index());
-            let seq = self.take_seq();
-            self.link_tail(page.index() as usize, Queue::A1in, seq);
+            self.link_tail(page.index() as usize, Queue::A1in);
         }
     }
 
@@ -164,8 +149,7 @@ impl Lru2Q {
             // Both transitions move the page to the hot end of Am.
             let idx = page.index() as usize;
             self.unlink(idx);
-            let seq = self.take_seq();
-            self.link_tail(idx, Queue::Am, seq);
+            self.link_tail(idx, Queue::Am);
         }
     }
 
@@ -193,33 +177,41 @@ impl Lru2Q {
         victims
     }
 
-    /// Interleaved `(seq, page)` pairs of one list, coldest first.
-    fn tickets(&self, ends: Ends) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// Appends one list's interleaved `(seq, page)` tickets, coldest
+    /// first, numbering them on from `out`'s ticket count.
+    fn push_tickets(&self, ends: Ends, out: &mut Vec<u64>) {
         let mut at = ends.head;
         while at != NIL {
-            out.push(self.seqs[at as usize]);
+            out.push(out.len() as u64 / 2);
             out.push(u64::from(at));
             at = self.next[at as usize];
         }
-        out
     }
 
     /// Serialises both lists for a machine snapshot, coldest first, as
-    /// `(seq, page)` pairs.
+    /// `(seq, page)` tickets. A ticket's `seq` is its position: `a1in`
+    /// counts up from 0, `am` continues after it, and `next_seq` is the
+    /// ticket count. Only list order matters on restore.
     pub fn snapshot(&self) -> Json {
+        let mut tickets = Vec::with_capacity(2 * self.live);
+        self.push_tickets(self.a1in, &mut tickets);
+        let a1in_len = tickets.len();
+        self.push_tickets(self.am, &mut tickets);
         Json::obj([
-            ("a1in", Json::Str(hex_from_u64s(&self.tickets(self.a1in)))),
-            ("am", Json::Str(hex_from_u64s(&self.tickets(self.am)))),
-            ("next_seq", Json::U64(self.next_seq)),
+            ("a1in", Json::Str(hex_from_u64s(&tickets[..a1in_len]))),
+            ("am", Json::Str(hex_from_u64s(&tickets[a1in_len..]))),
+            ("next_seq", Json::U64(tickets.len() as u64 / 2)),
         ])
     }
 
     /// Restores [`Lru2Q::snapshot`] state, replacing the current
-    /// contents. Pages are linked in file order. `span` is the page
-    /// table's span, and `is_fast` tells whether the restored page table
-    /// maps a page to a fast-tier frame: pages enter the lists only at
-    /// fast allocation and promotion, and leave them at demotion.
+    /// contents. Pages are linked in file order; a ticket's `seq` is
+    /// checked against `next_seq` and otherwise ignored, so snapshots
+    /// that numbered tickets by enqueue order (versions 1–2) restore to
+    /// the same lists. `span` is the page table's span, and `is_fast`
+    /// tells whether the restored page table maps a page to a fast-tier
+    /// frame: pages enter the lists only at fast allocation and
+    /// promotion, and leave them at demotion.
     ///
     /// # Errors
     ///
@@ -234,7 +226,7 @@ impl Lru2Q {
         is_fast: impl Fn(VirtPage) -> bool,
     ) -> Result<()> {
         let next_seq = snap.req_u64("next_seq")?;
-        let mut staged = Self { next_seq, ..Self::default() };
+        let mut staged = Self::default();
         for (key, queue) in [("a1in", Queue::A1in), ("am", Queue::Am)] {
             let tickets = snap.req_u64s(key)?;
             if tickets.len() % 2 != 0 {
@@ -262,7 +254,7 @@ impl Lru2Q {
                     return Err(Error::snapshot(format!("page {page} has two live lru tickets")));
                 }
                 staged.cover(page);
-                staged.link_tail(page as usize, queue, seq);
+                staged.link_tail(page as usize, queue);
             }
         }
         *self = staged;

@@ -115,23 +115,6 @@ impl PageTable {
         Ok(old)
     }
 
-    /// Unmaps `vpage`, returning the removed PTE if one existed.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnmappedPage`] when `vpage` is outside the table span.
-    pub fn unmap(&mut self, vpage: VirtPage) -> Result<Option<Pte>> {
-        let i = self.index(vpage)?;
-        if self.flags[i] & FLAG_MAPPED == 0 {
-            return Ok(None);
-        }
-        let old = self.pte_at(i);
-        self.frames[i] = 0;
-        self.flags[i] = 0;
-        self.mapped -= 1;
-        Ok(Some(old))
-    }
-
     /// Returns the PTE of `vpage`.
     ///
     /// # Errors
@@ -354,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_count_tracks_map_remap_unmap() {
+    fn mapped_count_tracks_map_and_remap() {
         let mut pt = PageTable::new(4);
         assert_eq!(pt.mapped_count(), 0);
         pt.map(VirtPage::new(0), PageNum::new(1)).unwrap();
@@ -363,12 +346,8 @@ mod tests {
         // A remap replaces, it does not add.
         pt.map(VirtPage::new(0), PageNum::new(9)).unwrap();
         assert_eq!(pt.mapped_count(), 2);
-        assert!(pt.unmap(VirtPage::new(0)).unwrap().is_some());
-        assert_eq!(pt.mapped_count(), 1);
-        // Unmapping an already-unmapped in-span page is a no-op.
-        assert!(pt.unmap(VirtPage::new(0)).unwrap().is_none());
-        assert_eq!(pt.mapped_count(), 1);
-        assert!(pt.unmap(VirtPage::new(9)).is_err(), "out of span");
+        assert!(pt.map(VirtPage::new(9), PageNum::new(3)).is_err(), "out of span");
+        assert_eq!(pt.mapped_count(), 2);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl HugePageMap {
         }
     }
 
-    /// Current votes for the region containing `vpage`.
-    pub fn votes_for(&self, vpage: VirtPage) -> u32 {
-        self.votes.get(&huge_base(vpage).index()).copied().unwrap_or(0)
-    }
-
     /// Clears vote state (per profiling period).
     pub fn clear(&mut self) {
         self.votes.clear();
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(m.record_hot(VirtPage::new(30)), Some(VirtPage::new(0)));
         // Further votes do not re-trigger.
         assert_eq!(m.record_hot(VirtPage::new(40)), None);
-        assert_eq!(m.votes_for(VirtPage::new(11)), 4);
     }
 
     #[test]
@@ -141,7 +135,6 @@ mod tests {
         let mut m = HugePageMap::new(2);
         m.record_hot(VirtPage::new(1));
         m.clear();
-        assert_eq!(m.votes_for(VirtPage::new(1)), 0);
         assert_eq!(m.record_hot(VirtPage::new(1)), None, "count restarts");
     }
 

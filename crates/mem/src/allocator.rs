@@ -76,15 +76,6 @@ impl FrameAllocator {
         self.next_fresh - self.free_list.len() as u64 - self.blocked_free.len() as u64
     }
 
-    /// Fill ratio in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            1.0
-        } else {
-            self.used_frames() as f64 / self.capacity as f64
-        }
-    }
-
     /// Whether `frame` belongs to this allocator's window.
     pub fn owns(&self, frame: PageNum) -> bool {
         frame >= self.base && frame.index() < self.base.index() + self.capacity
@@ -269,15 +260,6 @@ mod tests {
         assert!(a.owns(PageNum::new(103)));
         assert!(!a.owns(PageNum::new(99)));
         assert!(!a.owns(PageNum::new(104)));
-    }
-
-    #[test]
-    fn utilization_tracks_usage() {
-        let mut a = alloc4();
-        assert_eq!(a.utilization(), 0.0);
-        a.alloc().unwrap();
-        a.alloc().unwrap();
-        assert!((a.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]

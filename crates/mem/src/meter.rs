@@ -39,22 +39,6 @@ impl BandwidthSample {
             self.read_busy.as_nanos() as f64 / busy as f64
         }
     }
-
-    /// Read-only utilisation over the window.
-    pub fn read_utilization(&self) -> f64 {
-        if self.window.is_zero() {
-            return 0.0;
-        }
-        (self.read_busy.as_nanos() as f64 / self.window.as_nanos() as f64).min(1.0)
-    }
-
-    /// Write-only utilisation over the window.
-    pub fn write_utilization(&self) -> f64 {
-        if self.window.is_zero() {
-            return 0.0;
-        }
-        (self.write_busy.as_nanos() as f64 / self.window.as_nanos() as f64).min(1.0)
-    }
 }
 
 /// Accumulates busy time within the current window.
@@ -137,8 +121,6 @@ mod tests {
         let s = m.roll(Nanos::new(100));
         assert!((s.utilization() - 0.5).abs() < 1e-12);
         assert!((s.read_fraction() - 0.6).abs() < 1e-12);
-        assert!((s.read_utilization() - 0.3).abs() < 1e-12);
-        assert!((s.write_utilization() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -164,8 +146,6 @@ mod tests {
         let s = BandwidthSample::default();
         assert_eq!(s.utilization(), 0.0);
         assert_eq!(s.read_fraction(), 0.5);
-        assert_eq!(s.read_utilization(), 0.0);
-        assert_eq!(s.write_utilization(), 0.0);
     }
 
     #[test]

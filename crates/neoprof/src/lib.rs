@@ -45,18 +45,14 @@ mod device;
 mod fifo;
 pub mod mmio;
 mod monitors;
-mod multi;
 
 pub use device::{NeoProf, NeoProfConfig, NeoProfStats};
 pub use fifo::AsyncFifo;
 pub use monitors::{PageMonitor, StateMonitor, StateSnapshot};
-pub use multi::{InterleaveMap, MultiProf};
 
-/// The device core clock: 400 MHz, matching the paper's FPGA prototype
+/// Converts simulated nanoseconds into device clock cycles at the
+/// device core clock: 400 MHz, matching the paper's FPGA prototype
 /// (Table III) and the ASIC synthesis point (Fig. 18).
-pub const DEVICE_CLOCK_HZ: u64 = 400_000_000;
-
-/// Converts simulated nanoseconds into device clock cycles.
 pub fn cycles_of(ns: neomem_types::Nanos) -> u64 {
     // 400 MHz = 0.4 cycles per ns = 2 cycles per 5 ns.
     ns.as_nanos() * 2 / 5

@@ -31,20 +31,6 @@ pub const GET_HIST: u64 = 0xA00;
 /// Sentinel returned by read commands with nothing to deliver.
 pub const EMPTY_SENTINEL: u64 = u64::MAX;
 
-/// All valid command offsets (diagnostics, fuzzing).
-pub const ALL_OFFSETS: [u64; 10] = [
-    RESET,
-    SET_THRESHOLD,
-    GET_NR_HOT_PAGE,
-    GET_HOT_PAGE,
-    GET_NR_SAMPLE,
-    GET_RD_CNT,
-    GET_WR_CNT,
-    SET_HIST_EN,
-    GET_NR_HIST_BIN,
-    GET_HIST,
-];
-
 /// Whether `offset` decodes to a write command.
 pub fn is_write_command(offset: u64) -> bool {
     matches!(offset, RESET | SET_THRESHOLD | SET_HIST_EN)
@@ -78,7 +64,18 @@ mod tests {
 
     #[test]
     fn every_offset_has_exactly_one_direction() {
-        for off in ALL_OFFSETS {
+        for off in [
+            RESET,
+            SET_THRESHOLD,
+            GET_NR_HOT_PAGE,
+            GET_HOT_PAGE,
+            GET_NR_SAMPLE,
+            GET_RD_CNT,
+            GET_WR_CNT,
+            SET_HIST_EN,
+            GET_NR_HIST_BIN,
+            GET_HIST,
+        ] {
             assert!(
                 is_write_command(off) ^ is_read_command(off),
                 "offset {off:#x} must be exactly one of read/write"

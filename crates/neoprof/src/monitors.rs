@@ -91,16 +91,6 @@ impl StateSnapshot {
         }
         ((self.read_cycles + self.write_cycles) as f64 / self.sampled_cycles as f64).min(1.0)
     }
-
-    /// Fraction of busy cycles that were reads; `0.5` when idle.
-    pub fn read_fraction(&self) -> f64 {
-        let busy = self.read_cycles + self.write_cycles;
-        if busy == 0 {
-            0.5
-        } else {
-            self.read_cycles as f64 / busy as f64
-        }
-    }
 }
 
 /// Tracks read/write channel-busy cycles within the current window.
@@ -203,7 +193,6 @@ mod tests {
         assert_eq!(snap.read_cycles, 40);
         assert_eq!(snap.write_cycles, 40);
         assert!((snap.utilization() - 0.2).abs() < 1e-9);
-        assert!((snap.read_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -220,7 +209,6 @@ mod tests {
     fn idle_snapshot() {
         let snap = StateSnapshot::default();
         assert_eq!(snap.utilization(), 0.0);
-        assert_eq!(snap.read_fraction(), 0.5);
     }
 
     #[test]

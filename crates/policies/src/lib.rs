@@ -35,8 +35,6 @@ pub use dispatch::PolicyBox;
 pub use first_touch::FirstTouchPolicy;
 pub use hint_fault::{HintFaultPolicy, HintFaultPolicyConfig, HintFaultStyle};
 pub use neomem::{NeoMemParams, NeoMemPolicy, ThresholdMode};
-
-// `DemotionStrategy` is defined below and re-used by NeoMemParams.
 pub use pebs::{MemtisPolicy, PebsPolicy, PebsPolicyConfig};
 pub use pte_scan::{PteScanPolicy, PteScanPolicyConfig};
 pub use quota::QuotaMeter;
@@ -269,31 +267,11 @@ pub trait TieringPolicy {
     }
 }
 
-/// Which victims feed the demotion path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DemotionStrategy {
-    /// LRU-2Q cold-page detection (the paper's design, Fig. 5 ❻).
-    #[default]
-    Lru2Q,
-    /// Recency-blind victim selection — the ablation showing why cold
-    /// detection matters (DESIGN.md decision #5).
-    Arbitrary,
-}
-
-/// Keeps a headroom of free fast-tier frames by demoting LRU-cold pages.
-/// Returns the time charged. Shared by every promoting policy — Linux
-/// reclaim does the same through the demotion path.
+/// Keeps a headroom of free fast-tier frames by demoting LRU-cold pages
+/// (the paper's cold-page detection, Fig. 5 ❻). Returns the time
+/// charged. Shared by every promoting policy — Linux reclaim does the
+/// same through the demotion path.
 pub(crate) fn ensure_fast_headroom(kernel: &mut Kernel, frac: f64, now: Nanos) -> Nanos {
-    ensure_fast_headroom_with(kernel, frac, now, DemotionStrategy::Lru2Q)
-}
-
-/// [`ensure_fast_headroom`] with an explicit victim-selection strategy.
-pub(crate) fn ensure_fast_headroom_with(
-    kernel: &mut Kernel,
-    frac: f64,
-    now: Nanos,
-    strategy: DemotionStrategy,
-) -> Nanos {
     let alloc = kernel.memory().allocator(Tier::Fast);
     // Headroom targets the *usable* window so a capacity-loss fault
     // shrinks the goal instead of demoting the whole tier chasing
@@ -303,12 +281,7 @@ pub(crate) fn ensure_fast_headroom_with(
     if free >= want {
         return Nanos::ZERO;
     }
-    let n = (want - free) as usize;
-    let (_, t) = match strategy {
-        DemotionStrategy::Lru2Q => kernel.demote_coldest(n, now),
-        DemotionStrategy::Arbitrary => kernel.demote_arbitrary(n, now),
-    };
-    t
+    kernel.demote_coldest((want - free) as usize, now).1
 }
 
 /// The solutions compared in Fig. 11, plus auxiliary baselines.

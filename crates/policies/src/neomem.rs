@@ -9,7 +9,7 @@ use neomem_types::{Bandwidth, Bytes, Error, FaultKind, MemRequest, Nanos, Result
 
 use crate::quota::QuotaMeter;
 use crate::tenancy::TenantLayout;
-use crate::{ensure_fast_headroom_with, DemotionStrategy, PolicyTelemetry, TieringPolicy};
+use crate::{ensure_fast_headroom, PolicyTelemetry, TieringPolicy};
 
 /// Threshold control mode (Fig. 14a compares dynamic against fixed θ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +52,6 @@ pub struct NeoMemParams {
     pub thp: bool,
     /// Distinct hot base pages required before a huge region migrates.
     pub thp_votes: u32,
-    /// Demotion victim selection (ablation: LRU-2Q vs arbitrary).
-    pub demotion: DemotionStrategy,
     /// Contention-aware promotion throttling (the `NeoMem-CA` variant):
     /// consume the co-run engine's cross-tenant-eviction signal and
     /// charge aggressors a quota penalty, slowing their promotion rate
@@ -86,7 +84,6 @@ impl NeoMemParams {
             threshold_mode: ThresholdMode::Dynamic,
             thp: false,
             thp_votes: 3,
-            demotion: DemotionStrategy::Lru2Q,
             contention_aware: false,
             contention_penalty_pages: 8,
             contention_max_penalty: 4,
@@ -351,8 +348,7 @@ impl NeoMemPolicy {
 
     /// Hot-page readout + promotion under quota.
     fn migrate(&mut self, kernel: &mut Kernel, now: Nanos) -> Nanos {
-        let mut cost =
-            ensure_fast_headroom_with(kernel, self.params.headroom_frac, now, self.params.demotion);
+        let mut cost = ensure_fast_headroom(kernel, self.params.headroom_frac, now);
         let (pages, prof) = if self.driver.outage() {
             match &mut self.fallback {
                 // Degraded profiling: one PTE-scan epoch stands in for

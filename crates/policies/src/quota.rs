@@ -113,16 +113,6 @@ impl QuotaMeter {
         self.used >= self.budget()
     }
 
-    /// Bytes consumed in the current window.
-    pub fn used(&self) -> Bytes {
-        Bytes::new(self.used)
-    }
-
-    /// Replaces the rate (sensitivity sweeps, Fig. 15b).
-    pub fn set_rate(&mut self, rate: Bandwidth) {
-        self.rate = rate;
-    }
-
     /// Splits the window budget into weighted per-tenant shares. Until
     /// this is called the meter runs in its single-tenant mode with a
     /// single undivided budget.

@@ -38,13 +38,6 @@ impl Default for PebsConfig {
     }
 }
 
-impl PebsConfig {
-    /// The Fig. 16 experiment's setting (`pebs_sampling_rate = 397`).
-    pub fn convergence_default() -> Self {
-        Self { sample_interval: 397, ..Self::default() }
-    }
-}
-
 /// The PEBS sampling engine.
 #[derive(Debug, Clone)]
 pub struct PebsSampler {

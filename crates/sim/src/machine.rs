@@ -461,16 +461,6 @@ impl MachineDescription {
         }
         config
     }
-
-    /// The machine's explicit total capacity in frames, when the file
-    /// sized the tiers itself — what a scenario's footprint must fit
-    /// into. `None` when capacity is derived from the workload.
-    pub fn explicit_capacity_frames(&self) -> Option<u64> {
-        match self.sizing {
-            TierSizing::Frames { fast, slow } => Some(fast + slow),
-            _ => None,
-        }
-    }
 }
 
 /// Reads an optional bandwidth, accepting rate-typed values.
@@ -571,7 +561,6 @@ fifo_depth = 1024
                     [memory]\nfast_pages = 1000\ntotal_pages = 5000\n";
         let desc = MachineDescription::parse(text).unwrap();
         assert_eq!(desc.sizing, TierSizing::Frames { fast: 1000, slow: 4000 });
-        assert_eq!(desc.explicit_capacity_frames(), Some(5000));
         let mem = desc.sim_config(2048, 2).memory_config();
         assert_eq!(mem.fast.capacity_frames, 1000);
         assert_eq!(mem.slow.capacity_frames, 4000);

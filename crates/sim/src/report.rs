@@ -123,33 +123,6 @@ impl RunReport {
         }
     }
 
-    /// Serialises the timeline as CSV (one row per sample) for external
-    /// plotting — the raw material behind the Fig. 14/16 curves.
-    ///
-    /// Columns: `t_ns,accesses,slow_accesses,throughput,threshold,
-    /// p_fraction,bandwidth_util,error_bound`.
-    pub fn timeline_csv(&self) -> String {
-        let mut out = String::from(
-            "t_ns,accesses,slow_accesses,throughput,threshold,p_fraction,bandwidth_util,error_bound\n",
-        );
-        for p in &self.timeline {
-            let opt_u16 = |v: Option<u16>| v.map(|x| x.to_string()).unwrap_or_default();
-            let opt_f = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_default();
-            out.push_str(&format!(
-                "{},{},{},{:.3},{},{},{},{}\n",
-                p.at.as_nanos(),
-                p.accesses,
-                p.slow_accesses,
-                p.throughput,
-                opt_u16(p.threshold),
-                opt_f(p.p_fraction),
-                opt_f(p.bandwidth_util),
-                opt_u16(p.error_bound),
-            ));
-        }
-        out
-    }
-
     /// Flat `(name, value)` scalar counters covering the whole report —
     /// the serialisation hook behind `neomem_runner`'s JSON results.
     ///
@@ -272,24 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_summary_render() {
-        let mut r = report();
-        r.timeline.push(TimelinePoint {
-            at: Nanos::from_millis(1),
-            accesses: 10,
-            slow_accesses: 3,
-            throughput: 1e6,
-            threshold: Some(4),
-            p_fraction: Some(0.001),
-            bandwidth_util: Some(0.25),
-            ..Default::default()
-        });
-        let csv = r.timeline_csv();
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("t_ns,"));
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("1000000,10,3,"), "unexpected row: {row}");
-        assert!(row.contains(",4,"), "threshold column missing: {row}");
+    fn summary_renders() {
+        let r = report();
         let summary = r.summary();
         assert!(summary.contains("test / none"));
         assert!(summary.contains("promote 0"));

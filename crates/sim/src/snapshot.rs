@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "schema": "neomem-machine-snapshot",
-//!   "version": 1,
+//!   "version": 3,
 //!   "kind": "sim" | "corun",
 //!   "fingerprint": <u64>,
 //!   "workload": "<name>",
@@ -39,12 +39,15 @@ use crate::report::{MarkerRecord, TimelinePoint};
 pub const SNAPSHOT_SCHEMA: &str = "neomem-machine-snapshot";
 
 /// The schema version this build writes. Bump on any layout change.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// Version 3 dropped the kernel's `arbitrary_cursor`, the sketch's
+/// `eager_clear` and the hot-page detector's `bloom`, and numbers LRU
+/// tickets by list position instead of enqueue order.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
-/// The oldest schema version this build still reads. Version 1
-/// documents carry the same component layout (the structure-of-arrays
-/// engine core serialises to the version-1 wire format), so they
-/// restore unchanged.
+/// The oldest schema version this build still reads. Versions 1 and 2
+/// carry the version-3 layout plus the three dropped fields, which a
+/// restore ignores (a `bloom` that is not `null` is an error), and
+/// their LRU tickets link in file order like version 3's.
 pub const SNAPSHOT_MIN_VERSION: u64 = 1;
 
 /// The `kind` tag of single-tenant snapshots.
@@ -157,8 +160,7 @@ pub(crate) fn open_envelope<'a>(
 
 /// Marker labels are `&'static str` in [`MarkerRecord`]; a restore
 /// maps the serialized string back onto the production label set.
-const MARKER_LABELS: [&str; 8] = [
-    "trace-marker",
+const MARKER_LABELS: [&str; 7] = [
     "popularity-drift",
     "graph-built",
     "iteration",

@@ -21,15 +21,9 @@ impl BitSet {
         (self.words[idx / 64] >> (idx % 64)) & 1 == 1
     }
 
-    #[inline]
-    pub(crate) fn set(&mut self, idx: usize) {
-        debug_assert!(idx < self.len);
-        self.words[idx / 64] |= 1 << (idx % 64);
-    }
-
     /// Sets the bit and returns its previous value — one word access
-    /// where the batched update paths would otherwise do a `get` plus a
-    /// conditional `set`.
+    /// where the update paths would otherwise do a `get` plus a
+    /// conditional set.
     #[inline]
     pub(crate) fn test_and_set(&mut self, idx: usize) -> bool {
         debug_assert!(idx < self.len);
@@ -44,10 +38,6 @@ impl BitSet {
     #[inline]
     pub(crate) fn clear_all(&mut self) {
         self.words.fill(0);
-    }
-
-    pub(crate) fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Raw backing words, for checkpointing.
@@ -65,11 +55,6 @@ impl BitSet {
         self.words.copy_from_slice(words);
         true
     }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
 }
 
 #[cfg(test)]
@@ -80,15 +65,14 @@ mod tests {
     fn set_get_clear() {
         let mut bs = BitSet::new(130);
         assert!(!bs.get(0));
-        bs.set(0);
-        bs.set(64);
-        bs.set(129);
+        for idx in [0, 64, 129] {
+            bs.test_and_set(idx);
+        }
         assert!(bs.get(0) && bs.get(64) && bs.get(129));
         assert!(!bs.get(1));
-        assert_eq!(bs.count_ones(), 3);
+        assert_eq!(bs.words().iter().map(|w| w.count_ones()).sum::<u32>(), 3);
         bs.clear_all();
-        assert_eq!(bs.count_ones(), 0);
-        assert_eq!(bs.len(), 130);
+        assert_eq!(bs.words(), [0; 3]);
     }
 
     #[test]
@@ -103,9 +87,9 @@ mod tests {
     #[test]
     fn word_boundary_independence() {
         let mut bs = BitSet::new(128);
-        bs.set(63);
+        bs.test_and_set(63);
         assert!(!bs.get(64));
-        bs.set(64);
+        bs.test_and_set(64);
         assert!(bs.get(63) && bs.get(64));
     }
 }

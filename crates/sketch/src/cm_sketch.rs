@@ -57,16 +57,6 @@ impl SketchParams {
         }
         Ok(())
     }
-
-    /// The `ε` of the (ε, δ) sketch guarantee: `ε = 2 / W`.
-    pub fn epsilon(&self) -> f64 {
-        2.0 / self.width as f64
-    }
-
-    /// The `δ` of the (ε, δ) sketch guarantee: `δ = 2^-D`.
-    pub fn delta(&self) -> f64 {
-        0.5f64.powi(self.depth as i32)
-    }
 }
 
 /// Flat index of (lane, slot) pairs selected by the hash stage for one page.
@@ -114,7 +104,6 @@ pub struct CmSketch {
     valid: BitSet,
     /// Total updates since the last clear (the `N` of Eq. 3).
     stream_len: u64,
-    eager_clear: bool,
 }
 
 impl CmSketch {
@@ -138,15 +127,7 @@ impl CmSketch {
             hot: BitSet::new(total),
             valid: BitSet::new(total),
             stream_len: 0,
-            eager_clear: false,
         })
-    }
-
-    /// Switches `clear()` to eagerly zero all counters instead of using the
-    /// valid-bit lazy path. Observationally equivalent (property-tested);
-    /// exists as the ablation for design decision #4 in DESIGN.md.
-    pub fn set_eager_clear(&mut self, eager: bool) {
-        self.eager_clear = eager;
     }
 
     /// Returns the construction parameters.
@@ -247,16 +228,11 @@ impl CmSketch {
 
     /// Clears all counters, hot bits and the stream length.
     ///
-    /// With lazy clearing (the default, as in hardware) this is O(W·D/64):
-    /// only the valid/hot bitsets are zeroed.
+    /// The clear is lazy, as in hardware, and O(W·D/64): only the
+    /// valid/hot bitsets are zeroed, and a counter whose valid bit is
+    /// clear reads as zero.
     pub fn clear(&mut self) {
-        if self.eager_clear {
-            self.counters.fill(0);
-            // Eager mode still must reset validity so both modes agree.
-            self.valid.clear_all();
-        } else {
-            self.valid.clear_all();
-        }
+        self.valid.clear_all();
         self.hot.clear_all();
         self.stream_len = 0;
     }
@@ -277,7 +253,7 @@ impl CmSketch {
     /// hardware `SetHistEn` unit. Produces exactly
     /// `CounterHistogram::from_counters(self.lane_counters(lane))`,
     /// but walks the validity bitmap a word at a time: invalid slots
-    /// (reading as zero, the common case right after an eager clear)
+    /// (reading as zero, the common case right after a clear)
     /// cost one popcount per 64 instead of a lookup each, and live
     /// counters bin through a value table instead of a binary search.
     pub fn lane_histogram(&self, lane: usize) -> crate::CounterHistogram {
@@ -310,11 +286,6 @@ impl CmSketch {
         crate::CounterHistogram::from_bins(bins)
     }
 
-    /// Number of sketch entries whose hot bit is set (diagnostics).
-    pub fn hot_bits_set(&self) -> usize {
-        self.hot.count_ones()
-    }
-
     /// Serialises the mutable sketch state (counters, hot/valid bits,
     /// stream length) for a machine snapshot. Construction parameters
     /// and the derived hash stage are *not* included: a snapshot is
@@ -325,12 +296,13 @@ impl CmSketch {
             ("hot", Json::Str(hex_from_u64s(self.hot.words()))),
             ("valid", Json::Str(hex_from_u64s(self.valid.words()))),
             ("stream_len", Json::U64(self.stream_len)),
-            ("eager_clear", Json::Bool(self.eager_clear)),
         ])
     }
 
     /// Restores the state captured by [`CmSketch::snapshot`] onto this
     /// sketch, which must have been built with the same parameters.
+    /// The `eager_clear` flag that snapshot versions 1–2 carry is
+    /// ignored: both clear modes left the same observable state.
     ///
     /// # Errors
     ///
@@ -348,13 +320,11 @@ impl CmSketch {
         let hot = snap.req_u64s("hot")?;
         let valid = snap.req_u64s("valid")?;
         let stream_len = snap.req_u64("stream_len")?;
-        let eager_clear = snap.req_bool("eager_clear")?;
         if !self.hot.load_words(&hot) || !self.valid.load_words(&valid) {
             return Err(Error::snapshot("sketch bitset word count mismatch"));
         }
         self.counters = counters;
         self.stream_len = stream_len;
-        self.eager_clear = eager_clear;
         Ok(())
     }
 }
@@ -393,13 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_delta() {
-        let p = SketchParams { width: 1024, depth: 3, seed: 0, hot_buffer_entries: 16 };
-        assert!((p.epsilon() - 2.0 / 1024.0).abs() < 1e-12);
-        assert!((p.delta() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
     fn never_underestimates_single_page() {
         let mut s = CmSketch::new(SketchParams::small()).unwrap();
         for n in 1..=100u16 {
@@ -434,21 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_eager_clear_equivalent() {
+    fn cleared_sketch_behaves_like_a_fresh_one() {
         let params = SketchParams::small();
-        let mut lazy = CmSketch::new(params).unwrap();
-        let mut eager = CmSketch::new(params).unwrap();
-        eager.set_eager_clear(true);
+        let mut cleared = CmSketch::new(params).unwrap();
         for round in 0..3 {
+            let mut fresh = CmSketch::new(params).unwrap();
             for i in 0..500u64 {
                 let p = page(i * 31 % 97 + round);
-                assert_eq!(lazy.update(p), eager.update(p));
+                assert_eq!(cleared.update(p), fresh.update(p));
             }
             for i in 0..200u64 {
-                assert_eq!(lazy.estimate(page(i)), eager.estimate(page(i)));
+                assert_eq!(cleared.estimate(page(i)), fresh.estimate(page(i)));
             }
-            lazy.clear();
-            eager.clear();
+            assert_eq!(cleared.lane_histogram(0), fresh.lane_histogram(0));
+            cleared.clear();
         }
     }
 

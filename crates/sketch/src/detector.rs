@@ -3,20 +3,7 @@
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{DevicePage, Error, Result};
 
-use crate::bloom::BloomFilter;
 use crate::cm_sketch::{CmSketch, SketchParams};
-
-/// Which duplicate-suppression filter the detector uses
-/// (DESIGN.md ablation #1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterKind {
-    /// The paper's design: hot bits embedded in the sketch entries,
-    /// reusing the sketch's hash results.
-    #[default]
-    HotBits,
-    /// The strawman: a separate Bloom filter with its own hash stage.
-    ExternalBloom,
-}
 
 /// Running statistics of a [`HotPageDetector`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,8 +42,6 @@ pub struct HotPageDetector {
     buffer: Vec<DevicePage>,
     capacity: usize,
     stats: DetectorStats,
-    /// `Some` in the external-Bloom ablation mode.
-    bloom: Option<BloomFilter>,
     /// Reused per-page estimate lane for [`Self::observe_batch`];
     /// scratch only, never snapshotted.
     batch_estimates: Vec<u16>,
@@ -69,35 +54,13 @@ impl HotPageDetector {
     ///
     /// Propagates [`SketchParams::validate`] failures.
     pub fn new(params: SketchParams) -> Result<Self> {
-        Self::with_filter(params, FilterKind::HotBits)
-    }
-
-    /// Creates a detector with an explicit duplicate-suppression filter
-    /// (the external-Bloom variant exists for the DESIGN.md ablation;
-    /// the hot-bit design is what the hardware implements).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SketchParams::validate`] failures.
-    pub fn with_filter(params: SketchParams, filter: FilterKind) -> Result<Self> {
         let capacity = params.hot_buffer_entries;
-        let bloom = match filter {
-            FilterKind::HotBits => None,
-            // Sized at ~2 bits per sketch counter, like the hot bits
-            // plus slack, with the same lane count of hashes.
-            FilterKind::ExternalBloom => Some(BloomFilter::new(
-                (params.width as u64 * 2).next_power_of_two().trailing_zeros().min(26),
-                params.depth,
-                params.seed ^ 0xB100,
-            )),
-        };
         Ok(Self {
             sketch: CmSketch::new(params)?,
             threshold: 0,
             buffer: Vec::with_capacity(capacity.min(4096)),
             capacity,
             stats: DetectorStats::default(),
-            bloom,
             batch_estimates: Vec::new(),
         })
     }
@@ -159,11 +122,7 @@ impl HotPageDetector {
         if estimate <= self.threshold {
             return false;
         }
-        let duplicate = match &mut self.bloom {
-            None => self.sketch.test_and_set_hot(page),
-            Some(bloom) => bloom.test_and_set(page),
-        };
-        if duplicate {
+        if self.sketch.test_and_set_hot(page) {
             self.stats.filtered_duplicates += 1;
             return false;
         }
@@ -202,9 +161,6 @@ impl HotPageDetector {
     pub fn clear(&mut self) {
         self.sketch.clear();
         self.buffer.clear();
-        if let Some(bloom) = &mut self.bloom {
-            bloom.clear();
-        }
         self.stats = DetectorStats::default();
     }
 
@@ -214,8 +170,7 @@ impl HotPageDetector {
     }
 
     /// Serialises the detector's mutable state (sketch, threshold, output
-    /// buffer, stats, and the optional external Bloom filter) for a
-    /// machine snapshot.
+    /// buffer, stats) for a machine snapshot.
     pub fn snapshot(&self) -> Json {
         Json::obj([
             ("sketch", self.sketch.snapshot()),
@@ -230,25 +185,19 @@ impl HotPageDetector {
             ("detected", Json::U64(self.stats.detected)),
             ("filtered_duplicates", Json::U64(self.stats.filtered_duplicates)),
             ("buffer_overflows", Json::U64(self.stats.buffer_overflows)),
-            (
-                "bloom",
-                match &self.bloom {
-                    None => Json::Null,
-                    Some(bloom) => bloom.snapshot(),
-                },
-            ),
         ])
     }
 
     /// Restores [`HotPageDetector::snapshot`] state onto a detector built
-    /// with the same parameters and filter kind.
+    /// with the same parameters. Snapshot versions 1–2 also carry a
+    /// `bloom` field, `null` unless the run used an external Bloom
+    /// filter instead of the hot bits; that filter no longer exists.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Snapshot`] on missing/malformed fields, a buffer
-    /// exceeding this detector's capacity, or a filter-kind mismatch
-    /// (snapshot has Bloom state but this detector uses hot bits, or vice
-    /// versa).
+    /// exceeding this detector's capacity, or a `bloom` field that is
+    /// not `null`.
     pub fn restore(&mut self, snap: &Json) -> Result<()> {
         let threshold = snap.req_u64("threshold")?;
         let threshold = u16::try_from(threshold)
@@ -261,19 +210,10 @@ impl HotPageDetector {
                 self.capacity
             )));
         }
-        match (&mut self.bloom, snap.req("bloom")?) {
-            (None, Json::Null) => {}
-            (Some(bloom), state @ Json::Obj(_)) => bloom.restore(state)?,
-            (None, _) => {
-                return Err(Error::snapshot(
-                    "snapshot carries bloom state but detector uses hot bits",
-                ))
-            }
-            (Some(_), _) => {
-                return Err(Error::snapshot(
-                    "detector uses an external bloom filter but snapshot has none",
-                ))
-            }
+        if !matches!(snap.get("bloom"), None | Some(Json::Null)) {
+            return Err(Error::snapshot(
+                "snapshot carries external bloom filter state; only hot bits are supported",
+            ));
         }
         self.sketch.restore(snap.req("sketch")?)?;
         self.threshold = threshold;
@@ -369,37 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn bloom_variant_behaves_like_hot_bits_on_small_sets() {
-        let mut hot_bits = HotPageDetector::new(SketchParams::small()).unwrap();
-        let mut bloom =
-            HotPageDetector::with_filter(SketchParams::small(), FilterKind::ExternalBloom)
-                .unwrap();
-        hot_bits.set_threshold(2);
-        bloom.set_threshold(2);
-        for round in 0..3 {
-            for p in 0..32u64 {
-                hot_bits.observe(DevicePage::new(p));
-                bloom.observe(DevicePage::new(p));
-            }
-            let _ = round;
-        }
-        let a: Vec<_> = hot_bits.drain_hot_pages().collect();
-        let b: Vec<_> = bloom.drain_hot_pages().collect();
-        assert_eq!(a, b, "both filters must report the same pages once");
-        // And both re-report after clear.
-        hot_bits.clear();
-        bloom.clear();
-        hot_bits.set_threshold(1);
-        bloom.set_threshold(1);
-        for _ in 0..2 {
-            hot_bits.observe(DevicePage::new(5));
-            bloom.observe(DevicePage::new(5));
-        }
-        assert_eq!(hot_bits.pending_hot_pages(), 1);
-        assert_eq!(bloom.pending_hot_pages(), 1);
-    }
-
-    #[test]
     fn zero_threshold_reports_first_touch() {
         let mut d = detector(0);
         assert!(d.observe(DevicePage::new(8)).is_some(), "estimate 1 > θ=0");
@@ -407,28 +316,25 @@ mod tests {
 
     #[test]
     fn observe_batch_matches_per_page_observe() {
-        for filter in [FilterKind::HotBits, FilterKind::ExternalBloom] {
-            let params = SketchParams { hot_buffer_entries: 8, ..SketchParams::small() };
-            let mut serial = HotPageDetector::with_filter(params, filter).unwrap();
-            let mut batched = HotPageDetector::with_filter(params, filter).unwrap();
-            serial.set_threshold(2);
-            batched.set_threshold(2);
-            let pages: Vec<DevicePage> =
-                (0..600u64).map(|i| DevicePage::new(i * 13 % 23)).collect();
-            let mut serial_reports = 0;
-            for &p in &pages {
-                serial_reports += u64::from(serial.observe(p).is_some());
-            }
-            let mut batched_reports = 0;
-            // Uneven batches exercise the lane-major tail handling.
-            for chunk in pages.chunks(31) {
-                batched_reports += batched.observe_batch(chunk);
-            }
-            assert_eq!(batched_reports, serial_reports, "{filter:?}");
-            assert_eq!(batched.stats(), serial.stats(), "{filter:?}");
-            let a: Vec<_> = serial.drain_hot_pages().collect();
-            let b: Vec<_> = batched.drain_hot_pages().collect();
-            assert_eq!(a, b, "{filter:?}: report order must match");
+        let params = SketchParams { hot_buffer_entries: 8, ..SketchParams::small() };
+        let mut serial = HotPageDetector::new(params).unwrap();
+        let mut batched = HotPageDetector::new(params).unwrap();
+        serial.set_threshold(2);
+        batched.set_threshold(2);
+        let pages: Vec<DevicePage> = (0..600u64).map(|i| DevicePage::new(i * 13 % 23)).collect();
+        let mut serial_reports = 0;
+        for &p in &pages {
+            serial_reports += u64::from(serial.observe(p).is_some());
         }
+        let mut batched_reports = 0;
+        // Uneven batches exercise the lane-major tail handling.
+        for chunk in pages.chunks(31) {
+            batched_reports += batched.observe_batch(chunk);
+        }
+        assert_eq!(batched_reports, serial_reports);
+        assert_eq!(batched.stats(), serial.stats());
+        let a: Vec<_> = serial.drain_hot_pages().collect();
+        let b: Vec<_> = batched.drain_hot_pages().collect();
+        assert_eq!(a, b, "report order must match");
     }
 }

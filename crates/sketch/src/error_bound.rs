@@ -66,13 +66,6 @@ pub fn from_histogram(hist: &CounterHistogram, delta: f64, depth: usize) -> u16 
     0
 }
 
-/// Whether the sketch should be considered saturated: the error bound
-/// rivals or exceeds the detection threshold, so "hot" classifications
-/// are unreliable (Algorithm 1 line 14 halves `p` in response).
-pub fn is_saturated(error_bound: u16, threshold: u16) -> bool {
-    error_bound >= threshold.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,16 +105,6 @@ mod tests {
         let bin_exact = hist.spec().bin_of(e_exact);
         let bin_hist = hist.spec().bin_of(e_hist);
         assert!(bin_exact.saturating_sub(bin_hist) <= 1, "off by more than one bin");
-    }
-
-    #[test]
-    fn saturation_predicate() {
-        assert!(is_saturated(10, 10));
-        assert!(is_saturated(11, 10));
-        assert!(!is_saturated(9, 10));
-        // θ=0 treated as 1 so an all-zero sketch is not "saturated".
-        assert!(!is_saturated(0, 0));
-        assert!(is_saturated(1, 0));
     }
 
     #[test]

@@ -189,29 +189,6 @@ impl CounterHistogram {
         u16::MAX
     }
 
-    /// Number of counters whose value is `>= value` (used by the tight
-    /// error-bound rank computation).
-    pub fn count_at_least(&self, value: u16) -> u64 {
-        let first_bin = self.spec.bin_of(value);
-        // Bins above first_bin are entirely >= value; the boundary bin is
-        // included conservatively (hardware resolution limit).
-        self.bins[first_bin..].iter().sum()
-    }
-
-    /// Mean counter value, approximated by bin lower edges.
-    pub fn approx_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .bins
-            .iter()
-            .enumerate()
-            .map(|(b, &n)| n as f64 * self.spec.lower_edge(b) as f64)
-            .sum();
-        sum / self.total as f64
-    }
-
     /// Fraction of non-zero counters — a cheap sketch-occupancy signal.
     pub fn occupancy(&self) -> f64 {
         if self.total == 0 {
@@ -326,25 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn count_at_least_counts_upper_tail() {
-        let mut h = CounterHistogram::new();
-        for c in [0u16, 0, 1, 5, 5, 200] {
-            h.add(c);
-        }
-        assert_eq!(h.count_at_least(1), 4);
-        assert!(h.count_at_least(200) >= 1);
-        assert_eq!(h.count_at_least(0), 6);
-    }
-
-    #[test]
-    fn occupancy_and_mean() {
+    fn occupancy_is_the_nonzero_share() {
         let mut h = CounterHistogram::new();
         for c in [0u16, 0, 4, 4] {
             h.add(c);
         }
         assert!((h.occupancy() - 0.5).abs() < 1e-12);
-        assert!(h.approx_mean() > 0.0);
-        assert_eq!(CounterHistogram::new().approx_mean(), 0.0);
         assert_eq!(CounterHistogram::new().occupancy(), 0.0);
     }
 

@@ -42,15 +42,13 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod bloom;
 mod cm_sketch;
 mod detector;
 pub mod error_bound;
 mod h3;
 mod histogram;
 
-pub use bloom::BloomFilter;
 pub use cm_sketch::{CmSketch, SketchParams, MAX_DEPTH};
-pub use detector::{DetectorStats, FilterKind, HotPageDetector};
+pub use detector::{DetectorStats, HotPageDetector};
 pub use h3::H3Hash;
 pub use histogram::{CounterHistogram, HistogramSpec, HISTOGRAM_BINS};

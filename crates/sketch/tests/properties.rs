@@ -1,9 +1,10 @@
 //! Property-based tests for the sketch algorithms.
 //!
 //! These pin down the mathematical invariants the paper relies on:
-//! CM-sketch one-sided error, hot-filter completeness, clear-mode
-//! equivalence, histogram/quantile consistency, and the agreement of the
-//! histogram error bound with the exact sorted computation.
+//! CM-sketch one-sided error, hot-filter completeness, a cleared sketch
+//! matching a fresh one, histogram/quantile consistency, and the
+//! agreement of the histogram error bound with the exact sorted
+//! computation.
 
 use std::collections::HashMap;
 
@@ -56,27 +57,31 @@ proptest! {
         }
     }
 
-    /// Lazy (valid-bit) clear and eager zeroing are observationally
-    /// equivalent across interleaved update/estimate/clear sequences.
+    /// The lazy (valid-bit) clear leaves a sketch that behaves exactly
+    /// like a freshly built one: same updates, estimates, hot-bit
+    /// reports, lane histograms and stream length, across interleaved
+    /// update/estimate/clear sequences.
     #[test]
-    fn clear_modes_equivalent(
+    fn cleared_sketch_matches_a_fresh_one(
         rounds in prop::collection::vec(prop::collection::vec(0u64..512, 0..300), 1..5),
     ) {
-        let mut lazy = CmSketch::new(small_params()).unwrap();
-        let mut eager = CmSketch::new(small_params()).unwrap();
-        eager.set_eager_clear(true);
+        let mut cleared = CmSketch::new(small_params()).unwrap();
         for round in &rounds {
+            let mut fresh = CmSketch::new(small_params()).unwrap();
             for &p in round {
-                prop_assert_eq!(lazy.update(DevicePage::new(p)), eager.update(DevicePage::new(p)));
+                let page = DevicePage::new(p);
+                prop_assert_eq!(cleared.update(page), fresh.update(page));
             }
             for probe in 0..64u64 {
-                prop_assert_eq!(
-                    lazy.estimate(DevicePage::new(probe)),
-                    eager.estimate(DevicePage::new(probe))
-                );
+                let page = DevicePage::new(probe);
+                prop_assert_eq!(cleared.estimate(page), fresh.estimate(page));
+                prop_assert_eq!(cleared.test_and_set_hot(page), fresh.test_and_set_hot(page));
             }
-            lazy.clear();
-            eager.clear();
+            for lane in 0..2 {
+                prop_assert_eq!(cleared.lane_histogram(lane), fresh.lane_histogram(lane));
+            }
+            prop_assert_eq!(cleared.stream_len(), fresh.stream_len());
+            cleared.clear();
         }
     }
 

@@ -771,43 +771,6 @@ impl<'a> FieldReader<'a> {
         Ok(())
     }
 
-    /// Optional float (integers widen).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the key is present but not numeric.
-    pub fn take_f64(&mut self, key: &'static str) -> Result<Option<f64>, ConfigError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(entry) => match entry.value {
-                ConfigValue::Float(v) => Ok(Some(v)),
-                ConfigValue::Int(v) => Ok(Some(v as f64)),
-                ref other => Err(self.err(
-                    entry.line,
-                    format!("key {key:?} wants a number, found {}", other.type_name()),
-                )),
-            },
-        }
-    }
-
-    /// Optional boolean.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the key is present but not a boolean.
-    pub fn take_bool(&mut self, key: &'static str) -> Result<Option<bool>, ConfigError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(entry) => match entry.value {
-                ConfigValue::Bool(v) => Ok(Some(v)),
-                ref other => Err(self.err(
-                    entry.line,
-                    format!("key {key:?} wants a boolean, found {}", other.type_name()),
-                )),
-            },
-        }
-    }
-
     /// Optional duration in nanoseconds (requires a unit suffix).
     ///
     /// # Errors
@@ -1017,7 +980,7 @@ mod tests {
     #[test]
     fn field_reader_types_ranges_and_unknown_keys() {
         let doc = ConfigDoc::parse(
-            "[m]\nwidth = 512\ndepth = 9\nlat = 8ms\ncap = 8KiB\nbw = 1GiB/s\nflag = true\nfrac = 0.5\n",
+            "[m]\nwidth = 512\ndepth = 9\nlat = 8ms\ncap = 8KiB\nbw = 1GiB/s\n",
         )
         .unwrap();
         let mut r = FieldReader::new(&doc.sections[0]);
@@ -1027,8 +990,6 @@ mod tests {
         assert_eq!(r.take_duration_ns("lat").unwrap(), Some(8_000_000));
         assert_eq!(r.take_size_bytes("cap").unwrap(), Some(8 << 10));
         assert_eq!(r.take_rate("bw").unwrap(), Some(1024.0 * 1024.0 * 1024.0));
-        assert_eq!(r.take_bool("flag").unwrap(), Some(true));
-        assert_eq!(r.take_f64("frac").unwrap(), Some(0.5));
         assert!(r.finish().is_ok());
 
         // Type mismatch names both the wanted and found types.

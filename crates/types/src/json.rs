@@ -290,23 +290,6 @@ impl Json {
             .ok_or_else(|| Error::snapshot(format!("field {key:?} is not a u64")))
     }
 
-    /// Strict finite-`f64` field accessor (see [`Json::req`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the field is missing, non-numeric or non-finite
-    /// (`null` — the rendering of NaN/∞ — is rejected here).
-    pub fn req_f64(&self, key: &str) -> SnapResult<f64> {
-        let v = self
-            .req(key)?
-            .as_f64()
-            .ok_or_else(|| Error::snapshot(format!("field {key:?} is not a number")))?;
-        if !v.is_finite() {
-            return Err(Error::snapshot(format!("field {key:?} is not finite")));
-        }
-        Ok(v)
-    }
-
     /// Strict `bool` field accessor (see [`Json::req`]).
     ///
     /// # Errors
@@ -886,14 +869,11 @@ mod tests {
     fn strict_accessors_name_the_field() {
         let doc = Json::obj([
             ("n", Json::U64(7)),
-            ("f", Json::F64(1.5)),
             ("s", Json::from("x")),
             ("b", Json::Bool(true)),
             ("a", Json::arr([1u64])),
         ]);
         assert_eq!(doc.req_u64("n").unwrap(), 7);
-        assert!((doc.req_f64("f").unwrap() - 1.5).abs() < 1e-12);
-        assert!((doc.req_f64("n").unwrap() - 7.0).abs() < 1e-12);
         assert_eq!(doc.req_str("s").unwrap(), "x");
         assert!(doc.req_bool("b").unwrap());
         assert_eq!(doc.req_arr("a").unwrap().len(), 1);
@@ -903,9 +883,6 @@ mod tests {
         assert!(err.to_string().contains("\"s\""), "{err}");
         // Non-objects fail req with a type name, not a panic.
         assert!(Json::U64(1).req("k").is_err());
-        // A null (rendered NaN) is rejected by the strict f64 accessor.
-        let nan = Json::obj([("v", Json::Null)]);
-        assert!(nan.req_f64("v").is_err());
     }
 
     #[test]

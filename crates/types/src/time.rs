@@ -204,12 +204,6 @@ impl Bytes {
         Self(n << 20)
     }
 
-    /// Creates a volume of `n` GiB.
-    #[inline]
-    pub const fn from_gib(n: u64) -> Self {
-        Self(n << 30)
-    }
-
     /// Returns the raw byte count.
     #[inline]
     pub const fn as_u64(self) -> u64 {
@@ -374,14 +368,13 @@ mod tests {
     #[test]
     fn bytes_units() {
         assert_eq!(Bytes::from_kib(1).as_u64(), 1024);
-        assert_eq!(Bytes::from_gib(1).as_u64(), 1 << 30);
         assert!((Bytes::from_mib(3).as_mib_f64() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn bandwidth_transfer_time() {
         let bw = Bandwidth::from_gib_per_sec(1.0);
-        let t = bw.transfer_time(Bytes::from_gib(1));
+        let t = bw.transfer_time(Bytes::new(1 << 30));
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
         assert_eq!(bw.transfer_time(Bytes::ZERO), Nanos::ZERO);
         let dead = Bandwidth::from_bytes_per_sec(0.0);

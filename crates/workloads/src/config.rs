@@ -36,7 +36,7 @@
 //! The schema is extend-only: new optional keys may be added, but
 //! existing keys never change meaning or type, so old files stay valid.
 
-use neomem_types::config::{ConfigDoc, ConfigError, ConfigSection, ConfigValue, FieldReader};
+use neomem_types::config::{ConfigDoc, ConfigError, ConfigValue, FieldReader};
 use neomem_types::suggest;
 use neomem_types::{FaultPlan, Nanos};
 
@@ -378,19 +378,6 @@ pub fn doc_kind(doc: &ConfigDoc) -> Result<String, ConfigError> {
             format!("key \"kind\" wants a string, found {}", other.type_name()),
         )),
     }
-}
-
-/// Forwarding helper so callers holding only a section can still get
-/// the unknown-section suggestion format used here.
-#[doc(hidden)]
-pub fn unknown_section_error(section: &ConfigSection, allowed: &[&'static str]) -> ConfigError {
-    let hint = suggest::closest(&section.name, allowed.iter().copied())
-        .map(|s| format!(" (did you mean [{s}]?)"))
-        .unwrap_or_default();
-    ConfigError::at(
-        section.line,
-        format!("unknown section [{}]{hint}", section.name),
-    )
 }
 
 #[cfg(test)]

@@ -46,7 +46,6 @@ mod scenario;
 mod silo;
 mod stream_hpc;
 mod tenant;
-mod trace;
 mod xsbench;
 mod zipf;
 
@@ -62,7 +61,6 @@ pub use scenario::{
 pub use silo::Silo;
 pub use stream_hpc::{StreamingHpc, StreamKind};
 pub use tenant::{TenantMix, TenantMixBuilder, TenantSpec};
-pub use trace::{Trace, TraceReplay};
 pub use xsbench::XsBench;
 pub use zipf::Zipf;
 

@@ -8,7 +8,7 @@
 //! the machine's global address space, so generators stay completely
 //! unaware of their co-runners.
 
-use crate::{Workload, WorkloadKind, MIN_RSS_PAGES};
+use crate::{WorkloadKind, MIN_RSS_PAGES};
 
 /// One tenant of a co-run: a workload kind plus its private sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,11 +111,6 @@ impl TenantMix {
         self.tenants.iter().map(|t| t.weight as u64).collect()
     }
 
-    /// Builds every tenant's generator, in tenant order.
-    pub fn build_workloads(&self) -> Vec<Box<dyn Workload>> {
-        self.tenants.iter().map(|t| t.kind.build(t.rss_pages, t.seed)).collect()
-    }
-
     /// A copy of the mix with every tenant seed re-derived from
     /// `base_seed` (tenant `i` gets `base_seed + i`), so experiment
     /// grids can put a mix on a seed axis.
@@ -205,7 +200,6 @@ impl TenantMixBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkloadEvent;
 
     fn two_tenant_mix() -> TenantMix {
         TenantMix::builder()
@@ -222,24 +216,6 @@ mod tests {
         assert_eq!(mix.total_rss_pages(), 3072);
         assert_eq!(mix.weights(), vec![1, 3]);
         assert!(!mix.is_empty());
-    }
-
-    #[test]
-    fn build_workloads_respects_specs() {
-        let mix = two_tenant_mix();
-        let mut workloads = mix.build_workloads();
-        assert_eq!(workloads.len(), 2);
-        assert_eq!(workloads[0].rss_pages(), 1024);
-        assert_eq!(workloads[1].rss_pages(), 2048);
-        // Streams are private: page ids stay inside each tenant's RSS.
-        for w in &mut workloads {
-            let rss = w.rss_pages();
-            for _ in 0..500 {
-                if let WorkloadEvent::Access(a) = w.next_event() {
-                    assert!(a.vpage.index() < rss);
-                }
-            }
-        }
     }
 
     #[test]

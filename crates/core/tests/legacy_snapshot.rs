@@ -7,7 +7,10 @@
 //!   ways stamped 0, `tick` above every stamp) rather than `ways - rank`;
 //! - schema version 2 also carried the kernel's `arbitrary_cursor`, the
 //!   sketch's `eager_clear` and the hot-page detector's `bloom`, and
-//!   numbered LRU tickets in enqueue order rather than by list position.
+//!   numbered LRU tickets in enqueue order rather than by list position;
+//! - up to schema version 3, a fixed mix's co-run schedule was the
+//!   round-robin position of the next slice, `{"pos": p}`, rather than
+//!   the scenario schedule's state.
 
 use neomem::prelude::*;
 use neomem::types::json::{hex_from_u64s, Json};
@@ -26,10 +29,13 @@ fn experiment(kind: WorkloadKind, policy: PolicyKind) -> Experiment {
         .expect("valid experiment")
 }
 
-fn set_field(obj: &mut Json, key: &str, value: Json) {
+fn field_mut<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
     let Json::Obj(fields) = obj else { panic!("snapshot section is not an object") };
-    let slot = fields.iter_mut().find(|(k, _)| k == key).expect("field present");
-    slot.1 = value;
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1
+}
+
+fn set_field(obj: &mut Json, key: &str, value: Json) {
+    *field_mut(obj, key) = value;
 }
 
 /// Turns one structure's `ways - rank` stamps into the older per-access
@@ -172,13 +178,17 @@ fn scenario_mix() -> TenantMix {
         .expect("valid mix")
 }
 
-fn corun_sim() -> CoRunSimulation {
-    let mut sim = SimConfig::quick(scenario_mix().total_rss_pages(), 2);
+fn corun_sim_of(mix: &TenantMix) -> CoRunSimulation {
+    let mut sim = SimConfig::quick(mix.total_rss_pages(), 2);
     sim.max_accesses = ACCESSES;
     let config = CoRunConfig { sim, interleave_quantum: 64, fast_share_cap: None };
     let policy = build_policy(PolicyKind::NeoMem, &config.sim, 1000, PolicyOverrides::default())
         .expect("valid policy");
-    CoRunSimulation::new(config, &scenario_mix(), policy).expect("valid co-run simulation")
+    CoRunSimulation::new(config, mix, policy).expect("valid co-run simulation")
+}
+
+fn corun_sim() -> CoRunSimulation {
+    corun_sim_of(&scenario_mix())
 }
 
 /// Points the first detector's `bloom` at a filter's state, as a run
@@ -237,4 +247,57 @@ fn version_two_corun_snapshots_resume_bit_identically() {
         .expect_err("external bloom filter state must be rejected");
     assert!(matches!(err, neomem::Error::Snapshot { .. }), "{err}");
     assert!(err.to_string().contains("bloom"), "{err}");
+}
+
+fn fixed_mix_sim() -> CoRunSimulation {
+    let mix = TenantMix::builder()
+        .tenant(WorkloadKind::Gups, 512, SEED)
+        .weighted_tenant(WorkloadKind::Silo, 512, 2, SEED + 1)
+        .tenant(WorkloadKind::Btree, 512, SEED + 2)
+        .build()
+        .expect("valid mix");
+    corun_sim_of(&mix)
+}
+
+/// Rewrites a live fixed-mix snapshot into the version-3 form, whose
+/// schedule is the round-robin position of the next slice: the
+/// scenario schedule's cursor modulo the lane count. Returns the
+/// position.
+fn round_robin_position(snap: &mut Json) -> u64 {
+    let scheduler = field_mut(field_mut(snap, "state"), "scheduler");
+    let lanes = scheduler.req_u64s("active").expect("active lanes").len() as u64;
+    let pos = scheduler.req_u64("cursor").expect("cursor") % lanes;
+    *scheduler = Json::obj([("pos", Json::U64(pos))]);
+    set_field(snap, "version", Json::U64(3));
+    pos
+}
+
+#[test]
+fn round_robin_position_snapshots_resume_bit_identically() {
+    let straight = fixed_mix_sim().run();
+    let runtime = straight.combined.runtime.as_nanos();
+    // The first cut whose next slice opens a round, and the first whose
+    // next slice is mid-round.
+    let mut cuts: [Option<(u64, Json)>; 2] = [None, None];
+    for sixteenth in 1..16 {
+        let mut snap = fixed_mix_sim().snapshot_at(Nanos::new(runtime * sixteenth / 16));
+        let pos = round_robin_position(&mut snap);
+        cuts[usize::from(pos > 0)].get_or_insert((pos, snap));
+        if cuts.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    for (pos, snap) in cuts.iter().map(|cut| cut.as_ref().expect("cuts at p == 0 and p > 0")) {
+        let resumed =
+            fixed_mix_sim().run_from(snap).expect("round-robin position snapshot restores");
+        assert_eq!(format!("{resumed:?}"), format!("{straight:?}"), "pos {pos}: resume diverged");
+    }
+
+    // A position past the last of the three lanes.
+    let (_, mut past) = cuts[0].clone().expect("cut at p == 0");
+    let scheduler = field_mut(field_mut(&mut past, "state"), "scheduler");
+    *scheduler = Json::obj([("pos", Json::U64(3))]);
+    let err = fixed_mix_sim().run_from(&past).expect_err("position 3 of 3 lanes");
+    assert!(matches!(err, neomem::Error::Snapshot { .. }), "{err}");
+    assert!(err.to_string().contains("round-robin position"), "{err}");
 }

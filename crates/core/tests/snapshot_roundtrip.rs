@@ -469,6 +469,22 @@ fn hostile_snapshots_error_instead_of_panicking() {
         assert!(err.to_string().contains(why), "lru page {page}: {err}");
     }
 
+    // A slow tier degraded beyond the range fault plans accept (the next
+    // slow-tier access would overflow the clock), and an access count
+    // the run cannot have reached (resuming would fast-forward the
+    // generator by four billion events).
+    let slow = ["state", "machine", "kernel", "memory", "slow"];
+    for (path, key, value) in [
+        (&slow[..], "latency_x", u64::MAX),
+        (&slow[..], "bandwidth_div", u64::MAX),
+        (&["state", "loop"][..], "accesses", 1 << 32),
+    ] {
+        let mut hostile = snap.clone();
+        set_field(at_path(&mut hostile, path), key, Json::U64(value));
+        let err = restore(&hostile).expect_err("an unreachable state must be rejected");
+        assert!(err.to_string().contains(key), "{key}: {err}");
+    }
+
     // An LRU ticket counter at the top of its range: tickets only record
     // list order, so nothing counts on from it and the run finishes as
     // if uninterrupted.
@@ -542,6 +558,23 @@ fn hostile_corun_snapshots_error_instead_of_panicking() {
             .expect_err("an occupancy baseline the kernel disagrees with must be rejected");
         assert!(err.to_string().contains("occ_before"), "occ_before {fill}: {err}");
     }
+
+    // Access and marker counts the run cannot have reached: resuming
+    // would fast-forward a generator by four billion events.
+    for path in [
+        &["state", "loop", "accesses"][..],
+        &["state", "lanes", "0", "accesses"],
+        &["state", "lanes", "0", "markers"],
+    ] {
+        let err = restore(&with(path, Json::U64(1 << 32))).expect_err("unreachable count");
+        assert!(matches!(err, neomem::Error::Snapshot { .. }), "{path:?}: {err}");
+    }
+
+    // The round-robin position a fixed mix's version-3 snapshot
+    // carries cannot describe a schedule with timeline events.
+    let position = Json::obj([("pos", Json::U64(0))]);
+    let err = restore(&with(&["state", "scheduler"], position)).expect_err("evented schedule");
+    assert!(err.to_string().contains("round-robin position"), "{err}");
 
     // Gutted loop and scheduler state.
     for part in ["loop", "scheduler"] {

@@ -1,5 +1,6 @@
 //! A single memory node: latency + bandwidth queueing model.
 
+use neomem_types::fault::MAX_LINK_MULTIPLIER;
 use neomem_types::json::Json;
 use neomem_types::{AccessKind, Bandwidth, Error, Nanos, NodeId, Result, Tier, LINE_SIZE};
 
@@ -240,7 +241,9 @@ impl MemoryNode {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Snapshot`] on missing/malformed fields.
+    /// Returns [`Error::Snapshot`] on missing/malformed fields and on a
+    /// latency multiplier or bandwidth divisor outside
+    /// `1..=MAX_LINK_MULTIPLIER`, the range fault plans validate.
     pub fn restore(&mut self, snap: &Json) -> Result<()> {
         let busy_until = Nanos::new(snap.req_u64("busy_until")?);
         let stats = NodeStats {
@@ -251,8 +254,17 @@ impl MemoryNode {
         self.meter.restore(snap.req("meter")?)?;
         self.busy_until = busy_until;
         self.stats = stats;
-        self.latency_x = snap.req_u64("latency_x")?.max(1);
-        self.bandwidth_div = snap.req_u64("bandwidth_div")?.max(1);
+        let multiplier = |key: &str| {
+            let value = snap.req_u64(key)?;
+            if !(1..=MAX_LINK_MULTIPLIER).contains(&value) {
+                return Err(Error::snapshot(format!(
+                    "{key} {value} outside 1..={MAX_LINK_MULTIPLIER}"
+                )));
+            }
+            Ok(value)
+        };
+        self.latency_x = multiplier("latency_x")?;
+        self.bandwidth_div = multiplier("bandwidth_div")?;
         Ok(())
     }
 }

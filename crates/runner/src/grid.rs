@@ -10,7 +10,8 @@
 //! The workload axis can mix single-tenant workloads with co-run
 //! tenant mixes ([`ExperimentGrid::corun`]): a co-run entry expands
 //! against the same ratio/policy/override/budget/seed axes, runs
-//! through [`CoRunSimulation`], and its cells carry per-tenant and
+//! through [`CoRunSimulation`] as the event-free scenario — the engine
+//! path of a scenario entry — and its cells carry per-tenant and
 //! contention sections in addition to the machine-wide metrics.
 
 use std::path::{Path, PathBuf};
@@ -128,9 +129,9 @@ impl ExperimentGrid {
     /// Appends a labelled co-run tenant mix to the workload axis. The
     /// entry expands against the same ratio/policy/override/budget/seed
     /// axes as single-tenant workloads; its cells run through
-    /// [`CoRunSimulation`] with the mix's own footprint (the grid's
-    /// `rss_pages` does not apply). The seed axis applies through
-    /// [`TenantMix::reseeded`] — tenant `i` runs with `cell seed + i`,
+    /// [`CoRunSimulation`] as [`Scenario::steady`], with the mix's own
+    /// footprint (the grid's `rss_pages` does not apply). The seed axis
+    /// applies through [`TenantMix::reseeded`] — tenant `i` runs with `cell seed + i`,
     /// so seed sweeps decorrelate co-run cells exactly like
     /// single-tenant ones. Run [`CoRunSimulation`] directly for full
     /// per-tenant seed control.
@@ -358,60 +359,42 @@ impl ExperimentGrid {
         builder
     }
 
-    /// Builds the [`CoRunSimulation`] of a co-run cell: the machine is
-    /// sized for the mix's total footprint at the cell's ratio, the
-    /// policy comes from the same [`build_policy`] path as
-    /// single-tenant cells, and the overrides' fairness cap flows into
-    /// the tenant layout.
-    fn corun_simulation_for(&self, cell: &GridCell) -> Result<CoRunSimulation, Error> {
-        let spec = cell.corun.as_ref().expect("corun cell");
-        let mut config = self.machine_config(spec.mix.total_rss_pages(), cell.ratio);
-        config.max_accesses = cell.accesses;
-        if let Some(hook) = self.configure {
-            hook(&mut config);
-        }
-        let overrides = self.cell_overrides(cell);
-        let policy = build_policy(cell.policy, &config, self.time_scale, overrides)?;
-        let corun_config = CoRunConfig {
-            sim: config,
-            interleave_quantum: spec.interleave_quantum,
-            fast_share_cap: overrides.corun_fast_share_cap,
+    /// Lowers a co-run or scenario cell (a co-run cell's mix as the
+    /// event-free scenario) to the scenario it runs, reseeded by the
+    /// seed axis (tenant i gets seed + i), and its engine configuration:
+    /// the machine sized for the scenario's footprint at the cell's
+    /// ratio, carrying its fault timeline. `None` for a single-tenant
+    /// cell.
+    fn corun_lowering(&self, cell: &GridCell) -> Option<(Scenario, CoRunConfig)> {
+        let (scenario, interleave_quantum) = match (&cell.corun, &cell.scenario) {
+            (Some(spec), _) => {
+                (Scenario::steady(spec.mix.reseeded(cell.seed)), spec.interleave_quantum)
+            }
+            (None, Some(spec)) => (spec.scenario.reseeded(cell.seed), spec.interleave_quantum),
+            (None, None) => return None,
         };
-        // The seed axis drives tenant seeds (tenant i gets seed + i),
-        // so seed sweeps produce genuinely different co-runs.
-        CoRunSimulation::new(corun_config, &spec.mix.reseeded(cell.seed), policy)
-    }
-
-    /// The engine configuration of a scenario cell: the machine sized
-    /// for the scenario's total footprint at the cell's ratio, carrying
-    /// the scenario's fault timeline.
-    fn scenario_config(&self, cell: &GridCell) -> CoRunConfig {
-        let spec = cell.scenario.as_ref().expect("scenario cell");
-        let total_rss = spec.scenario.mix().total_rss_pages();
-        let mut config = self.machine_config(total_rss, cell.ratio);
+        let mut config = self.machine_config(scenario.mix().total_rss_pages(), cell.ratio);
         config.max_accesses = cell.accesses;
-        // The scenario's fault timeline rides into the machine config —
-        // an empty plan (the common case) leaves the config untouched.
-        config.faults = spec.scenario.faults().clone();
+        config.faults = scenario.faults().clone();
         if let Some(hook) = self.configure {
             hook(&mut config);
         }
-        CoRunConfig {
+        let config = CoRunConfig {
             sim: config,
-            interleave_quantum: spec.interleave_quantum,
+            interleave_quantum,
             fast_share_cap: self.cell_overrides(cell).corun_fast_share_cap,
-        }
+        };
+        Some((scenario, config))
     }
 
-    /// Builds the [`CoRunSimulation`] of a scenario cell: identical to
-    /// [`ExperimentGrid::corun`] cells except the engine follows the
-    /// scenario's dynamic-tenancy timeline.
-    fn scenario_simulation_for(&self, cell: &GridCell) -> Result<CoRunSimulation, Error> {
-        let spec = cell.scenario.as_ref().expect("scenario cell");
-        let config = self.scenario_config(cell);
+    /// Builds the [`CoRunSimulation`] of a co-run or scenario cell, with
+    /// the policy from the same [`build_policy`] path as single-tenant
+    /// cells; `None` for a single-tenant cell.
+    fn corun_simulation_for(&self, cell: &GridCell) -> Option<Result<CoRunSimulation, Error>> {
+        let (scenario, config) = self.corun_lowering(cell)?;
         let overrides = self.cell_overrides(cell);
-        let policy = build_policy(cell.policy, &config.sim, self.time_scale, overrides)?;
-        CoRunSimulation::with_scenario(config, &spec.scenario.reseeded(cell.seed), policy)
+        let policy = build_policy(cell.policy, &config.sim, self.time_scale, overrides);
+        Some(policy.and_then(|policy| CoRunSimulation::with_scenario(config, &scenario, policy)))
     }
 
     /// Names the failing cell in a validation error.
@@ -428,31 +411,30 @@ impl ExperimentGrid {
     /// Validates every cell before spending simulation time on any.
     fn validate_cells(&self, cells: &[GridCell]) -> Result<(), Error> {
         for cell in cells {
-            let check = if cell.scenario.is_some() {
-                self.scenario_simulation_for(cell).map(|_| ())
-            } else if cell.corun.is_some() {
-                self.corun_simulation_for(cell).map(|_| ())
-            } else {
-                self.builder_for(cell).build().map(|_| ())
+            let check = match self.corun_simulation_for(cell) {
+                Some(sim) => sim.map(|_| ()),
+                None => self.builder_for(cell).build().map(|_| ()),
             };
             check.map_err(|e| self.cell_error(cell, e))?;
         }
         Ok(())
     }
 
-    /// Lowers every scenario cell onto the grid's machine exactly as a
-    /// run does and validates the engine configuration, without
-    /// building generators, policies or machines — so a scenario that
-    /// cannot run on its machine is rejected with the error the run
-    /// would report.
+    /// Lowers every co-run and scenario cell onto the grid's machine
+    /// exactly as a run does and validates the engine configuration,
+    /// without building generators, policies or machines — so a
+    /// scenario that cannot run on its machine is rejected with the
+    /// error the run would report.
     ///
     /// # Errors
     ///
     /// Returns the first failing cell's [`Error::InvalidConfig`],
     /// prefixed as [`ExperimentGrid::run`] prefixes it.
     pub fn validate_scenarios(&self) -> Result<(), Error> {
-        for cell in self.cells().iter().filter(|cell| cell.scenario.is_some()) {
-            self.scenario_config(cell).validate().map_err(|e| self.cell_error(cell, e))?;
+        for cell in self.cells() {
+            if let Some((_, config)) = self.corun_lowering(&cell) {
+                config.validate().map_err(|e| self.cell_error(&cell, e))?;
+            }
         }
         Ok(())
     }
@@ -477,19 +459,13 @@ impl ExperimentGrid {
 
     /// Runs one (pre-validated) cell from a cold machine.
     fn run_cell_cold(&self, cell: &GridCell) -> CellOutcome {
-        if cell.corun.is_some() || cell.scenario.is_some() {
-            let outcome = if cell.scenario.is_some() {
-                self.scenario_simulation_for(cell).expect("cell validated above").run()
-            } else {
-                self.corun_simulation_for(cell).expect("cell validated above").run()
-            };
-            Self::corun_outcome(cell, outcome)
-        } else {
-            (
+        match self.corun_simulation_for(cell) {
+            Some(sim) => Self::corun_outcome(cell, sim.expect("cell validated above").run()),
+            None => (
                 self.builder_for(cell).build().expect("cell validated above").run(),
                 None,
                 None,
-            )
+            ),
         }
     }
 
@@ -501,14 +477,8 @@ impl ExperimentGrid {
     /// the warm path was taken.
     fn run_cell_warm(&self, cell: &GridCell, dir: &Path) -> (CellOutcome, bool) {
         if let Some(snap) = self.load_snapshot(dir, cell) {
-            if cell.corun.is_some() || cell.scenario.is_some() {
-                let sim = if cell.scenario.is_some() {
-                    self.scenario_simulation_for(cell)
-                } else {
-                    self.corun_simulation_for(cell)
-                }
-                .expect("cell validated above");
-                if let Ok(outcome) = sim.run_from(&snap) {
+            if let Some(sim) = self.corun_simulation_for(cell) {
+                if let Ok(outcome) = sim.expect("cell validated above").run_from(&snap) {
                     return (Self::corun_outcome(cell, outcome), true);
                 }
             } else {
@@ -582,16 +552,14 @@ impl ExperimentGrid {
     /// warmed snapshot envelope.
     fn snapshot_cell(&self, cell: &GridCell) -> Json {
         let horizon = Nanos::new(u64::MAX);
-        if cell.scenario.is_some() {
-            self.scenario_simulation_for(cell).expect("cell validated above").snapshot_at(horizon)
-        } else if cell.corun.is_some() {
-            self.corun_simulation_for(cell).expect("cell validated above").snapshot_at(horizon)
-        } else {
-            self.builder_for(cell)
+        match self.corun_simulation_for(cell) {
+            Some(sim) => sim.expect("cell validated above").snapshot_at(horizon),
+            None => self
+                .builder_for(cell)
                 .build()
                 .expect("cell validated above")
                 .into_simulation()
-                .snapshot_at(horizon)
+                .snapshot_at(horizon),
         }
     }
 

@@ -10,17 +10,17 @@
 //!
 //! # Scheduling and determinism
 //!
-//! Scheduling is delegated to a [`SliceScheduler`]: the engine asks it
-//! what to do at every slice boundary and executes the decision. The
-//! default [`StaticRoundRobin`] interleaves a fixed mix by a
-//! deterministic weighted round-robin — in every round, tenant `i`
-//! executes a *slice* of `interleave_quantum × weight_i` events before
-//! the next tenant runs. A [`DynamicSchedule`]
-//! ([`CoRunSimulation::with_scenario`]) additionally admits and
-//! retires tenants along a [`neomem_workloads::Scenario`] timeline,
-//! reclaiming departed tenants' fast-tier pages through the normal
-//! eviction path. Either way the slice schedule is a pure function of
-//! the configuration and the virtual clock — never of
+//! Every co-run follows a [`neomem_workloads::Scenario`]: the engine
+//! asks the scenario's schedule what to do at every slice boundary and
+//! executes the decision. Active tenants interleave by a deterministic
+//! weighted round-robin — in every round, tenant `i` executes a
+//! *slice* of `interleave_quantum × weight_i` events before the next
+//! tenant runs — while the scenario timeline admits and retires
+//! tenants, reclaiming departed tenants' fast-tier pages through the
+//! normal eviction path. A fixed mix ([`CoRunSimulation::new`]) is a
+//! scenario without events: every tenant runs from time zero to the
+//! end of the run. The slice schedule is a pure function of the
+//! configuration and the virtual clock — never of
 //! `SimConfig::batch_size` (which only sets how many events are
 //! pulled per [`neomem_workloads::Workload::fill_events`] call inside a
 //! slice) and never of host threading — so a co-run, like a
@@ -56,7 +56,7 @@ use neomem_workloads::{Scenario, TenantMix, Workload};
 use crate::config::SimConfig;
 use crate::engine::{drive, service_deadlines, LoopState, Machine, Stop};
 use crate::report::RunReport;
-use crate::sched::{DynamicSchedule, SchedulerOp, SliceScheduler, StaticRoundRobin};
+use crate::sched::{DynamicSchedule, SchedulerOp};
 use crate::snapshot;
 
 /// Configuration of a co-run: the shared machine plus the interleave
@@ -237,19 +237,13 @@ pub struct CoRunSimulation {
     layout: TenantLayout,
     lanes: Vec<Lane>,
     mix_label: String,
-    scheduler: Box<dyn SliceScheduler>,
-    /// Which lanes run from time zero (all, for static mixes). The
-    /// scheduler owns the live admission state; the engine only needs
-    /// the initial mask to open the first epochs.
-    initially_active: Vec<bool>,
+    scheduler: DynamicSchedule,
 }
 
 impl CoRunSimulation {
-    /// Builds the shared machine and the tenant lanes, and hands the
-    /// tenant layout to the policy
-    /// ([`TieringPolicy::configure_tenants`]). The mix is scheduled by
-    /// the classic [`StaticRoundRobin`]: every tenant runs from time
-    /// zero to the end of the run.
+    /// Builds a co-run of a fixed mix: the scenario without events
+    /// ([`Scenario::steady`]), so every tenant runs from time zero to
+    /// the end of the run.
     ///
     /// # Errors
     ///
@@ -260,25 +254,16 @@ impl CoRunSimulation {
         mix: &TenantMix,
         policy: impl Into<PolicyBox>,
     ) -> Result<Self> {
-        let scheduler = Box::new(StaticRoundRobin::new(
-            mix.tenants().iter().map(|t| t.weight).collect(),
-            config.interleave_quantum,
-        ));
-        let active = vec![true; mix.len()];
-        let build = |spec: &neomem_workloads::TenantSpec, _i: usize| {
-            spec.kind.build(spec.rss_pages, spec.seed)
-        };
-        Self::build(config, mix, mix.label(), policy.into(), scheduler, active, build)
+        Self::with_scenario(config, &Scenario::steady(mix.clone()), policy)
     }
 
-    /// Builds a scenario-driven co-run: the [`DynamicSchedule`] admits
-    /// and retires tenants along the scenario timeline, tenants with
+    /// Builds the shared machine and the tenant lanes, and hands the
+    /// tenant layout to the policy
+    /// ([`TieringPolicy::configure_tenants`]). The scenario's schedule
+    /// admits and retires tenants along its timeline, tenants with
     /// phase schedules run [`neomem_workloads::PhasedWorkload`]
     /// generators, and departed tenants' fast-tier pages are reclaimed
-    /// through the normal eviction path. A scenario with no events and
-    /// no phases schedules identically to [`CoRunSimulation::new`] on
-    /// the same mix (the scheduler-equivalence suite holds this
-    /// bit-for-bit).
+    /// through the normal eviction path.
     ///
     /// # Errors
     ///
@@ -289,25 +274,8 @@ impl CoRunSimulation {
         scenario: &Scenario,
         policy: impl Into<PolicyBox>,
     ) -> Result<Self> {
-        let scheduler = Box::new(DynamicSchedule::new(scenario, config.interleave_quantum));
-        let active = scenario.initially_active();
-        let label = scenario.label();
-        let build =
-            |_spec: &neomem_workloads::TenantSpec, i: usize| scenario.build_workload(i);
-        Self::build(config, scenario.mix(), label, policy.into(), scheduler, active, build)
-    }
-
-    /// Builds a co-run around an explicit scheduler and admission mask.
-    fn build(
-        config: CoRunConfig,
-        mix: &TenantMix,
-        label: String,
-        mut policy: PolicyBox,
-        scheduler: Box<dyn SliceScheduler>,
-        active: Vec<bool>,
-        build_workload: impl Fn(&neomem_workloads::TenantSpec, usize) -> Box<dyn Workload>,
-    ) -> Result<Self> {
         config.validate()?;
+        let mix = scenario.mix();
         if mix.total_rss_pages() != config.sim.rss_pages {
             return Err(neomem_types::Error::invalid_config(format!(
                 "tenant mix rss {} != config rss {}",
@@ -316,6 +284,7 @@ impl CoRunSimulation {
             )));
         }
         let layout = TenantLayout::new(mix.bases(), mix.weights(), config.fast_share_cap)?;
+        let mut policy = policy.into();
         policy.configure_tenants(&layout);
         let mut machine = Machine::new(config.sim.clone(), policy)?;
         machine.kernel.set_regions(layout.bases());
@@ -325,7 +294,7 @@ impl CoRunSimulation {
             .zip(mix.bases())
             .enumerate()
             .map(|(i, (spec, base))| Lane {
-                workload: build_workload(spec, i),
+                workload: scenario.build_workload(i),
                 base,
                 weight: spec.weight,
                 rss_pages: spec.rss_pages,
@@ -347,13 +316,12 @@ impl CoRunSimulation {
             })
             .collect();
         Ok(Self {
+            scheduler: DynamicSchedule::new(scenario, config.interleave_quantum),
             config,
             machine,
             layout,
             lanes,
-            mix_label: label,
-            scheduler,
-            initially_active: active,
+            mix_label: scenario.label(),
         })
     }
 
@@ -389,11 +357,10 @@ impl CoRunSimulation {
 
     /// Runs the co-run to completion and produces the report.
     ///
-    /// The loop executes whatever the [`SliceScheduler`] decides at
-    /// each slice boundary: tenant slices (the hot path, identical to
-    /// the pre-extraction engine), admissions, retirements (with
-    /// fast-tier reclaim through the normal eviction path), weight
-    /// changes, and idle gaps.
+    /// The loop executes whatever the schedule decides at each slice
+    /// boundary: tenant slices (the hot path), admissions, retirements
+    /// (with fast-tier reclaim through the normal eviction path),
+    /// weight changes, and idle gaps.
     ///
     /// # Panics
     ///
@@ -488,11 +455,7 @@ impl CoRunSimulation {
         self.layout = layout;
         self.machine.restore(state_json.req("machine")?)?;
         self.scheduler.restore_state(state_json.req("scheduler")?)?;
-        let mut state = CoRunState::restore(
-            state_json.req("loop")?,
-            &self.lanes,
-            self.machine.kernel.fast_pages_by_region(),
-        )?;
+        let mut state = CoRunState::restore(state_json.req("loop")?, &self.lanes, &self.machine)?;
         for lane in &mut self.lanes {
             let consumed = lane.events_consumed();
             snapshot::fast_forward(lane.workload.as_mut(), consumed);
@@ -516,10 +479,12 @@ impl CoRunSimulation {
             // residency interval, opened for initially-active lanes at
             // time zero and at every admission, closed at departure or
             // run end.
-            open_epochs: (0..tenant_count)
-                .map(|i| {
-                    self.initially_active[i].then(|| EpochMark::open(Nanos::ZERO, &self.lanes[i]))
-                })
+            open_epochs: self
+                .scheduler
+                .active()
+                .iter()
+                .zip(&self.lanes)
+                .map(|(&active, lane)| active.then(|| EpochMark::open(Nanos::ZERO, lane)))
                 .collect(),
         }
     }
@@ -788,12 +753,29 @@ impl CoRunState {
         ]))
     }
 
-    /// Restores the registers of a co-run over `lanes` (already
-    /// restored), rejecting state whose epoch bookkeeping disagrees
-    /// with them, or whose `occ_before` disagrees with `fast_pages`, the
-    /// restored kernel's per-tenant counts.
-    fn restore(state: &Json, lanes: &[Lane], fast_pages: &[u64]) -> Result<Self> {
+    /// Restores the registers of a co-run over `lanes` and `machine`
+    /// (both already restored), rejecting state whose access and marker
+    /// counts or epoch bookkeeping disagree with the lanes, or whose
+    /// `occ_before` disagrees with the restored kernel's per-tenant
+    /// counts. Cuts land on slice boundaries, where the lanes' counts
+    /// sum to the loop's.
+    fn restore(state: &Json, lanes: &[Lane], machine: &Machine) -> Result<Self> {
         let tenant_count = lanes.len();
+        let core = LoopState::restore(state, &machine.config)?;
+        let sum = |count: fn(&Lane) -> u64| {
+            lanes.iter().try_fold(0u64, |total, lane| total.checked_add(count(lane)))
+        };
+        for (field, lane_sum, total) in [
+            ("accesses", sum(|lane| lane.accesses), core.accesses),
+            ("markers", sum(|lane| lane.markers), core.markers.len() as u64),
+        ] {
+            if lane_sum != Some(total) {
+                return Err(Error::snapshot(format!(
+                    "lane {field} sum to {lane_sum:?}, the loop's {field} to {total}"
+                )));
+            }
+        }
+        let fast_pages = machine.kernel.fast_pages_by_region();
         let occ_before = state.req_u64s("occ_before")?;
         if occ_before != fast_pages {
             return Err(Error::snapshot(format!(
@@ -859,7 +841,7 @@ impl CoRunState {
             })
             .collect::<Result<Vec<OccupancyPoint>>>()?;
         Ok(Self {
-            core: LoopState::restore(state)?,
+            core,
             occupancy_timeline,
             rounds: state.req_u64("rounds")?,
             slices: state.req_u64("slices")?,
@@ -1346,30 +1328,19 @@ mod tests {
 
     #[test]
     fn steady_scenario_is_bit_identical_to_static() {
-        // The scheduler-equivalence contract at engine level: an
-        // event-free scenario over a mix must reproduce the static
-        // round-robin exactly, counter for counter.
+        // A fixed mix runs as the event-free scenario: one whole-run
+        // epoch per tenant, opened at time zero and closed at the end.
         let mix = mix_2();
-        let config = quick_corun(&mix, 60_000);
-        let fixed = CoRunSimulation::new(
-            config.clone(),
+        let report = CoRunSimulation::new(
+            quick_corun(&mix, 60_000),
             &mix,
             Box::new(FirstTouchPolicy::new()),
         )
         .unwrap()
         .run();
-        let scenario = neomem_workloads::Scenario::steady(mix);
-        let dynamic =
-            CoRunSimulation::with_scenario(config, &scenario, Box::new(FirstTouchPolicy::new()))
-                .unwrap()
-                .run();
-        assert_eq!(fixed.combined.runtime, dynamic.combined.runtime);
-        assert_eq!(fixed.combined.scalar_metrics(), dynamic.combined.scalar_metrics());
-        assert_eq!(fixed.tenants, dynamic.tenants);
-        assert_eq!(fixed.contention, dynamic.contention);
-        // Static runs report one whole-run epoch per tenant.
-        assert_eq!(dynamic.epochs.len(), 2);
-        assert!(dynamic.epochs.iter().all(|e| e.epoch == 0 && e.start.is_zero()));
+        assert_eq!(report.epochs.len(), 2);
+        assert!(report.epochs.iter().all(|e| e.epoch == 0 && e.start.is_zero()));
+        assert!(report.epochs.iter().all(|e| e.end == report.combined.runtime));
     }
 
     #[test]

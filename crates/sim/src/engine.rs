@@ -91,10 +91,24 @@ impl LoopState {
         ]
     }
 
-    pub(crate) fn restore(state: &Json) -> Result<Self> {
+    /// Restores [`LoopState::fields`] for a run on `config`. A resume
+    /// fast-forwards the generator past `accesses`, so a count the run
+    /// could not have reached is rejected: above `max_accesses`, or
+    /// beyond the clock at `cpu_per_access` each, which every step
+    /// charges at least.
+    pub(crate) fn restore(state: &Json, config: &SimConfig) -> Result<Self> {
+        let clock = Nanos::new(state.req_u64("clock")?);
+        let accesses = state.req_u64("accesses")?;
+        let cpu_time = config.cpu_per_access.as_nanos().checked_mul(accesses);
+        if accesses > config.max_accesses || cpu_time.is_none_or(|t| t > clock.as_nanos()) {
+            return Err(Error::snapshot(format!(
+                "loop accesses {accesses} exceed max_accesses {} or the clock {clock} at {} each",
+                config.max_accesses, config.cpu_per_access
+            )));
+        }
         Ok(Self {
-            clock: Nanos::new(state.req_u64("clock")?),
-            accesses: state.req_u64("accesses")?,
+            clock,
+            accesses,
             next_tick: Nanos::new(state.req_u64("next_tick")?),
             next_sample: Nanos::new(state.req_u64("next_sample")?),
             window_accesses: state.req_u64("window_accesses")?,
@@ -583,7 +597,7 @@ impl Simulation {
             machine.policy.name(),
         )?;
         machine.restore(state_json.req("machine")?)?;
-        let mut state = LoopState::restore(state_json.req("loop")?)?;
+        let mut state = LoopState::restore(state_json.req("loop")?, &machine.config)?;
         snapshot::fast_forward(workload.as_mut(), state.events_consumed());
         drive(&mut machine, workload.as_mut(), 0, u64::MAX, &mut state, None, |_, _| {});
         Ok(machine.into_report(workload.name().to_string(), state))

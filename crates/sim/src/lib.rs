@@ -46,4 +46,3 @@ pub use corun::{
 };
 pub use engine::Simulation;
 pub use report::{DegradationMetrics, MarkerRecord, RunReport, TimelinePoint};
-pub use sched::{DynamicSchedule, SchedulerOp, SliceScheduler, StaticRoundRobin};

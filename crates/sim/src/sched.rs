@@ -1,26 +1,22 @@
 //! Slice scheduling for the co-run engine.
 //!
-//! A [`SliceScheduler`] decides, at every slice boundary, what the
+//! A [`DynamicSchedule`] decides, at every slice boundary, what the
 //! co-run engine does next: run a tenant's slice, admit or retire a
 //! tenant, change a weight, idle forward to the next timeline event, or
 //! stop. The engine ([`crate::CoRunSimulation`]) owns the machine and
-//! the attribution; the scheduler owns *only* the schedule — a pure
-//! function of the configuration and the virtual clock, never of
-//! `batch_size` or host threading, so every co-run stays bit-identical
-//! at any batch size and `--threads` value.
+//! the attribution; the schedule owns *only* the schedule — a pure
+//! function of the scenario, the quantum and the virtual clock, never
+//! of `batch_size` or host threading, so every co-run stays
+//! bit-identical at any batch size and `--threads` value.
 //!
-//! Two implementations ship:
-//!
-//! * [`StaticRoundRobin`] — the classic fixed-mix weighted round-robin
-//!   (tenant `i` runs `quantum × weight_i` events per round), extracted
-//!   verbatim from the original engine loop: a static co-run schedules,
-//!   counts rounds/slices, and reports exactly as before the
-//!   extraction.
-//! * [`DynamicSchedule`] — drives a
-//!   [`neomem_workloads::Scenario`] timeline: tenants arrive, depart
-//!   and change weight at virtual-time points, applied at the first
-//!   slice boundary at or after each event's timestamp; between those,
-//!   active tenants round-robin exactly like the static schedule.
+//! It is the engine's only schedule. Tenants arrive, depart and change
+//! weight at the [`neomem_workloads::Scenario`] timeline's virtual-time
+//! points, applied at the first slice boundary at or after each event's
+//! timestamp; between those, the active tenants run a weighted
+//! round-robin (tenant `i` runs `quantum × weight_i` events per round).
+//! A fixed tenant mix is a scenario without events
+//! ([`neomem_workloads::Scenario::steady`]): everyone is active from
+//! time zero and the round-robin runs unchanged to the end of the run.
 
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{Error, Nanos, Result};
@@ -28,7 +24,7 @@ use neomem_workloads::{Scenario, TenantEvent, TenantEventKind};
 
 /// One scheduling decision, consumed by the engine at a slice boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerOp {
+pub(crate) enum SchedulerOp {
     /// Run `events` workload events of lane `lane`. `new_round` marks
     /// the first slice of a scheduling round (the engine's `rounds`
     /// counter increments on it).
@@ -55,7 +51,7 @@ pub enum SchedulerOp {
         lane: usize,
     },
     /// Lane `lane`'s interleave weight changes (affects subsequent
-    /// slices of this scheduler; recorded by the engine).
+    /// slices of this schedule; recorded by the engine).
     SetWeight {
         /// Affected lane.
         lane: usize,
@@ -70,93 +66,11 @@ pub enum SchedulerOp {
     Done,
 }
 
-/// A slice scheduler: the engine calls [`SliceScheduler::next`] at
-/// every slice boundary with the current virtual time and executes the
-/// returned op. Implementations must be deterministic functions of
-/// their configuration and the clock values they are handed.
-pub trait SliceScheduler {
-    /// The next scheduling decision at virtual time `now`.
-    fn next(&mut self, now: Nanos) -> SchedulerOp;
-
-    /// Serialises the scheduler's mutable position for a machine
-    /// snapshot. Stateless schedules keep the default, [`Json::Null`].
-    fn snapshot_state(&self) -> Json {
-        Json::Null
-    }
-
-    /// Restores [`SliceScheduler::snapshot_state`] output onto a
-    /// scheduler built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Snapshot`] on state the scheduler cannot absorb.
-    fn restore_state(&mut self, state: &Json) -> Result<()> {
-        match state {
-            Json::Null => Ok(()),
-            _ => Err(Error::snapshot(
-                "scheduler carries no restorable state, but the snapshot has some",
-            )),
-        }
-    }
-}
-
-/// The classic fixed-mix weighted round-robin: lane `i` runs
-/// `quantum × weight_i` events per round, every round, forever (the
-/// engine bounds the run by access budget / simulated time).
-#[derive(Debug, Clone)]
-pub struct StaticRoundRobin {
-    weights: Vec<u32>,
-    quantum: usize,
-    pos: usize,
-}
-
-impl StaticRoundRobin {
-    /// Builds the schedule over `weights` at `quantum` events per
-    /// weight unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty weight list — the tenant mix validates
-    /// non-emptiness before any scheduler exists.
-    pub fn new(weights: Vec<u32>, quantum: usize) -> Self {
-        assert!(!weights.is_empty(), "a schedule needs at least one lane");
-        Self { weights, quantum, pos: 0 }
-    }
-}
-
-impl SliceScheduler for StaticRoundRobin {
-    fn next(&mut self, _now: Nanos) -> SchedulerOp {
-        let lane = self.pos;
-        self.pos = (self.pos + 1) % self.weights.len();
-        SchedulerOp::Slice {
-            lane,
-            events: self.quantum * self.weights[lane] as usize,
-            new_round: lane == 0,
-        }
-    }
-
-    fn snapshot_state(&self) -> Json {
-        Json::obj([("pos", Json::U64(self.pos as u64))])
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<()> {
-        let pos = state.req_u64("pos")? as usize;
-        if pos >= self.weights.len() {
-            return Err(Error::snapshot(format!(
-                "round-robin position {pos} out of range for {} lanes",
-                self.weights.len()
-            )));
-        }
-        self.pos = pos;
-        Ok(())
-    }
-}
-
-/// A scenario-driven schedule: applies the timeline's arrivals,
+/// The co-run schedule: applies the scenario timeline's arrivals,
 /// departures and weight changes at slice boundaries, and round-robins
 /// the currently-active lanes in between.
 #[derive(Debug, Clone)]
-pub struct DynamicSchedule {
+pub(crate) struct DynamicSchedule {
     quantum: usize,
     /// The timeline, sorted by time (scenario build order).
     events: Vec<TenantEvent>,
@@ -170,7 +84,7 @@ pub struct DynamicSchedule {
 impl DynamicSchedule {
     /// Builds the schedule from a validated scenario at `quantum`
     /// events per weight unit.
-    pub fn new(scenario: &Scenario, quantum: usize) -> Self {
+    pub(crate) fn new(scenario: &Scenario, quantum: usize) -> Self {
         Self {
             quantum,
             events: scenario.events().to_vec(),
@@ -183,13 +97,12 @@ impl DynamicSchedule {
     }
 
     /// Which lanes are currently admitted.
-    pub fn active(&self) -> &[bool] {
+    pub(crate) fn active(&self) -> &[bool] {
         &self.active
     }
-}
 
-impl SliceScheduler for DynamicSchedule {
-    fn next(&mut self, now: Nanos) -> SchedulerOp {
+    /// The next scheduling decision at virtual time `now`.
+    pub(crate) fn next(&mut self, now: Nanos) -> SchedulerOp {
         // Due timeline events first, one per call, in timeline order.
         if let Some(event) = self.events.get(self.next_event) {
             if event.at <= now {
@@ -236,7 +149,9 @@ impl SliceScheduler for DynamicSchedule {
         }
     }
 
-    fn snapshot_state(&self) -> Json {
+    /// Serialises the schedule's mutable position for a machine
+    /// snapshot.
+    pub(crate) fn snapshot_state(&self) -> Json {
         let active: Vec<u64> = self.active.iter().map(|&a| u64::from(a)).collect();
         let weights: Vec<u64> = self.weights.iter().map(|&w| u64::from(w)).collect();
         Json::obj([
@@ -248,7 +163,33 @@ impl SliceScheduler for DynamicSchedule {
         ])
     }
 
-    fn restore_state(&mut self, state: &Json) -> Result<()> {
+    /// Restores [`DynamicSchedule::snapshot_state`] output onto a
+    /// schedule built from the same scenario and quantum. Also reads the
+    /// round-robin position `{"pos": p}` that fixed-mix snapshots before
+    /// version 4 carry: lane `p` runs next, opening a new round when
+    /// `p == 0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Snapshot`] on state the schedule cannot absorb,
+    /// including a round-robin position offered to a schedule with
+    /// timeline events or out of range for its lanes.
+    pub(crate) fn restore_state(&mut self, state: &Json) -> Result<()> {
+        if state.get("pos").is_some() {
+            // Every lane active at its mix weight, as in a fresh
+            // event-free schedule, with lane `pos` next.
+            let (pos, lanes) = (state.req_u64("pos")?, self.active.len());
+            if !self.events.is_empty() || pos >= lanes as u64 {
+                return Err(Error::snapshot(format!(
+                    "round-robin position {pos} cannot restore a schedule of {lanes} lanes and \
+                     {} timeline events",
+                    self.events.len()
+                )));
+            }
+            self.cursor = pos as usize;
+            self.pending_new_round = pos == 0;
+            return Ok(());
+        }
         let next_event = state.req_u64("next_event")? as usize;
         if next_event > self.events.len() {
             return Err(Error::snapshot(format!(
@@ -323,7 +264,13 @@ mod tests {
 
     #[test]
     fn static_round_robin_cycles_with_weighted_slices() {
-        let mut s = StaticRoundRobin::new(vec![1, 2, 3], 10);
+        let mix = TenantMix::builder()
+            .tenant(WorkloadKind::Gups, 256, 1)
+            .weighted_tenant(WorkloadKind::Silo, 256, 2, 2)
+            .weighted_tenant(WorkloadKind::Btree, 256, 3, 3)
+            .build()
+            .unwrap();
+        let mut s = DynamicSchedule::new(&Scenario::steady(mix), 10);
         let expected = [
             (0, 10, true),
             (1, 20, false),
@@ -335,20 +282,6 @@ mod tests {
             assert_eq!(
                 s.next(Nanos::ZERO),
                 SchedulerOp::Slice { lane, events, new_round }
-            );
-        }
-    }
-
-    #[test]
-    fn dynamic_without_events_matches_static() {
-        let scenario = Scenario::steady(mix_3());
-        let mut dynamic = DynamicSchedule::new(&scenario, 10);
-        let mut fixed = StaticRoundRobin::new(vec![1, 2, 1], 10);
-        for step in 0..50 {
-            assert_eq!(
-                dynamic.next(Nanos::from_micros(step)),
-                fixed.next(Nanos::from_micros(step)),
-                "step {step}"
             );
         }
     }

@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "schema": "neomem-machine-snapshot",
-//!   "version": 3,
+//!   "version": 4,
 //!   "kind": "sim" | "corun",
 //!   "fingerprint": <u64>,
 //!   "workload": "<name>",
@@ -39,15 +39,21 @@ use crate::report::{MarkerRecord, TimelinePoint};
 pub const SNAPSHOT_SCHEMA: &str = "neomem-machine-snapshot";
 
 /// The schema version this build writes. Bump on any layout change.
+/// Version 4 writes a fixed mix's co-run schedule in the scenario
+/// schedule's layout (`next_event`, `active`, `weights`, `cursor`,
+/// `pending_new_round`) instead of the round-robin position `pos`.
 /// Version 3 dropped the kernel's `arbitrary_cursor`, the sketch's
 /// `eager_clear` and the hot-page detector's `bloom`, and numbers LRU
 /// tickets by list position instead of enqueue order.
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
-/// The oldest schema version this build still reads. Versions 1 and 2
-/// carry the version-3 layout plus the three dropped fields, which a
-/// restore ignores (a `bloom` that is not `null` is an error), and
-/// their LRU tickets link in file order like version 3's.
+/// The oldest schema version this build still reads. A fixed mix's
+/// co-run snapshot of versions 1–3 carries the round-robin position
+/// `{"pos": p}`, which restores as the event-free scenario schedule
+/// with lane `p` next. Versions 1 and 2 also carry the version-3
+/// layout plus the three fields version 3 dropped, which a restore
+/// ignores (a `bloom` that is not `null` is an error), and their LRU
+/// tickets link in file order like version 3's.
 pub const SNAPSHOT_MIN_VERSION: u64 = 1;
 
 /// The `kind` tag of single-tenant snapshots.

@@ -26,6 +26,12 @@
 use crate::error::{Error, Result};
 use crate::time::Nanos;
 
+/// The largest slow-tier latency multiplier and bandwidth divisor a
+/// [`FaultKind::LinkDegraded`] window may carry, 2^20. Both scale
+/// service times on the virtual clock, so unbounded factors would
+/// overflow it.
+pub const MAX_LINK_MULTIPLIER: u64 = 1 << 20;
+
 /// What kind of hardware misbehaviour a fault window models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -37,9 +43,9 @@ pub enum FaultKind {
     /// multiplied by `latency_x` and its bandwidth divided by
     /// `bandwidth_div` for the window.
     LinkDegraded {
-        /// Slow-tier latency multiplier (≥ 1).
+        /// Slow-tier latency multiplier, in `1..=MAX_LINK_MULTIPLIER`.
         latency_x: u64,
-        /// Slow-tier bandwidth divisor (≥ 1).
+        /// Slow-tier bandwidth divisor, in `1..=MAX_LINK_MULTIPLIER`.
         bandwidth_div: u64,
     },
     /// Fast-tier capacity loss: `frames` frames are hot-removed from
@@ -153,9 +159,11 @@ impl FaultPlanBuilder {
         }
         match kind {
             FaultKind::LinkDegraded { latency_x, bandwidth_div } => {
-                if latency_x == 0 || bandwidth_div == 0 {
+                let range = 1..=MAX_LINK_MULTIPLIER;
+                if !range.contains(&latency_x) || !range.contains(&bandwidth_div) {
                     self.fail(format!(
-                        "fault link-degraded at {}ns: latency_x and bandwidth_div must be >= 1",
+                        "fault link-degraded at {}ns: latency_x and bandwidth_div must be in \
+                         1..={MAX_LINK_MULTIPLIER}",
                         at.as_nanos()
                     ));
                     return self;
@@ -271,7 +279,8 @@ mod tests {
 
     #[test]
     fn degenerate_link_multipliers_are_rejected() {
-        for (lx, bd) in [(0, 2), (2, 0), (1, 1)] {
+        let over = MAX_LINK_MULTIPLIER + 1;
+        for (lx, bd) in [(0, 2), (2, 0), (1, 1), (over, 1), (1, over)] {
             assert!(
                 FaultPlan::builder()
                     .link_degraded(Nanos::from_millis(1), Nanos::from_millis(1), lx, bd)

@@ -37,6 +37,7 @@
 //! existing keys never change meaning or type, so old files stay valid.
 
 use neomem_types::config::{ConfigDoc, ConfigError, ConfigValue, FieldReader};
+use neomem_types::fault::MAX_LINK_MULTIPLIER;
 use neomem_types::suggest;
 use neomem_types::{FaultPlan, Nanos};
 
@@ -249,8 +250,9 @@ impl ScenarioConfig {
                     fault_builder.outage(at, duration)
                 }
                 "link-degraded" => {
-                    let latency_x = r.take_u64_range("latency_x", 1, 1 << 20)?.unwrap_or(1);
-                    let bandwidth_div = r.take_u64_range("bandwidth_div", 1, 1 << 20)?.unwrap_or(1);
+                    let max = MAX_LINK_MULTIPLIER;
+                    let latency_x = r.take_u64_range("latency_x", 1, max)?.unwrap_or(1);
+                    let bandwidth_div = r.take_u64_range("bandwidth_div", 1, max)?.unwrap_or(1);
                     r.finish()?;
                     fault_builder.link_degraded(at, duration, latency_x, bandwidth_div)
                 }

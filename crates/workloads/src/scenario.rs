@@ -10,13 +10,13 @@
 //! tenant's generator kind/working-set at deterministic event-count
 //! boundaries.
 //!
-//! The co-run engine's `DynamicSchedule` slice scheduler
-//! (`neomem_sim`) consumes a scenario: tenants whose first event is an
+//! The co-run engine (`neomem_sim`) schedules every co-run from a
+//! scenario: tenants whose first event is an
 //! [`TenantEventKind::Arrive`] start idle and are admitted at their
 //! arrival time; departed tenants have their fast-tier pages reclaimed
-//! through the normal eviction path. A scenario with no events and no
-//! phases is exactly the static mix — the scheduler-equivalence suite
-//! holds that bit-for-bit.
+//! through the normal eviction path. A fixed mix runs as the scenario
+//! with no events and no phases ([`Scenario::steady`]): every tenant
+//! active from time zero, in a weighted round-robin.
 
 use neomem_types::{FaultPlan, Nanos};
 
@@ -269,8 +269,9 @@ impl Scenario {
         }
     }
 
-    /// A scenario with no events and no phases — scheduling-equivalent
-    /// to running `mix` through the static round-robin.
+    /// A scenario with no events and no phases: every tenant of `mix`
+    /// runs from time zero in the co-run engine's weighted round-robin.
+    /// A fixed-mix co-run is this scenario.
     pub fn steady(mix: TenantMix) -> Self {
         Self::builder(mix).build().expect("event-free scenarios are always valid")
     }

@@ -75,6 +75,20 @@ enum Command {
     ScenarioRun(Vec<String>),
 }
 
+impl Command {
+    /// Whether a requested target reads the scenario corpus: the
+    /// `registry` figure or a `scenario:NAME` target.
+    fn needs_corpus(&self) -> bool {
+        let registry = |figures: &[&Figure]| figures.iter().any(|f| f.name == "registry");
+        match self {
+            Command::Run(figures, scenarios) => registry(figures) || !scenarios.is_empty(),
+            Command::Perf(figures) | Command::Snapshot(figures) => registry(figures),
+            Command::Gate(figure) => figure.name == "registry",
+            _ => false,
+        }
+    }
+}
+
 const USAGE: &str = "\
 neomem-bench — regenerate paper figures/tables with machine-readable results
 
@@ -599,6 +613,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Without a discoverable corpus, fail before any figure writes a
+    // result, with the same message as `scenario list`.
+    if command.needs_corpus() {
+        if let Err(message) = load_registry() {
+            eprintln!("neomem-bench: {message}");
+            return ExitCode::FAILURE;
+        }
+    }
     let ctx = RunContext {
         scale,
         threads: options.threads,

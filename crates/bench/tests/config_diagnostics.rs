@@ -259,3 +259,34 @@ fn corrupted_corpus_copy_fails_with_path_and_line() {
     assert!(err.contains("did you mean \"ratio\"?"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `registry` figure run where no corpus is discoverable fails like
+/// `scenario list` — exit 1 and the typed message, no panic — before
+/// any figure writes a result.
+#[test]
+fn registry_figure_without_a_corpus_fails_before_running() {
+    let dir = std::env::temp_dir().join(format!("neomem-no-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.canonicalize().unwrap();
+    let out = dir.join("out");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_neomem-bench"))
+        .args(["table01", "registry", "--out"])
+        .arg(&out)
+        .current_dir(&dir)
+        .env_remove("NEOMEM_SCENARIO_DIR")
+        .output()
+        .expect("neomem-bench starts");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        format!(
+            "neomem-bench: invalid configuration: no scenarios/ directory found from {} \
+             upward (set NEOMEM_SCENARIO_DIR to override)\n",
+            dir.display()
+        )
+    );
+    assert!(!out.exists(), "no figure may run");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -196,8 +196,8 @@ impl CacheHierarchy {
             }
             return HierarchyOutcome { level: HitLevel::L2, traffic: MemoryTraffic::default() };
         }
-        // Fused LLC probe-or-fill: a hit stops here; a miss allocates
-        // in the same key-lane sweep and surfaces the dirty victim.
+        // Fused LLC probe-or-fill: a hit stops here; a miss takes the
+        // set's last way and surfaces the dirty victim.
         let out = self.llc.access(line, false);
         if out.hit {
             let mut traffic = MemoryTraffic::default();

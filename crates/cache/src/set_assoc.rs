@@ -3,7 +3,7 @@
 use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{CacheLine, Error, Result, LINES_PER_PAGE};
 
-use crate::swar::{self, with_ways, KEY_VALID, MAX_TAG, MAX_WAYS, RANK_DIRTY};
+use crate::swar::{self, with_ways, KEY_VALID, MAX_TAG, MAX_WAYS};
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,20 +97,22 @@ const META_STAMP_MASK: u64 = META_DIRTY - 1;
 /// evicting a dirty line surfaces a writeback the caller must forward to
 /// the next level (or to memory, for the LLC).
 ///
-/// Ways are structure-of-arrays: a `u32` key lane (`valid | tag`) the
-/// probe scans contiguously, and a `u8` rank lane (dirty flag + recency
-/// rank, a permutation of `0..ways` per set) touched only on hits and
-/// fills. A 16-way set's keys are 64 bytes, but the lane is not
-/// aligned to host lines, so a set may span two of them.
+/// Each set is a contiguous run of `u32` keys (`valid | tag`) kept in
+/// recency order — most recently used first, invalid ways last — plus
+/// one `u64` dirty mask whose bit `i` belongs to position `i`. A hit
+/// moves its way to the front, and a fill drops the last way and
+/// inserts at the front, so the victim needs no search. A 16-way set's
+/// keys are 64 bytes, but the lane is not aligned to host lines, so a
+/// set may span two of them.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// `KEY_VALID | tag` per way; a word without the valid bit never
-    /// matches a probe.
+    /// `KEY_VALID | tag` per way, each set in recency order; invalid
+    /// ways are `0` and never match a probe.
     keys: Vec<u32>,
-    /// `RANK_DIRTY | rank` per way, parallel to `keys`. Invalid ways are
-    /// never dirty.
-    ranks: Vec<u8>,
+    /// One dirty mask per set, bit `i` for position `i`. Invalid ways
+    /// are never dirty.
+    dirty: Vec<u64>,
     set_mask: u64,
     /// Bits of the set index — cached at construction so the hot
     /// probe/fill/writeback paths never recount mask bits.
@@ -141,7 +143,7 @@ impl SetAssocCache {
         Self {
             config,
             keys: vec![0; sets * config.ways],
-            ranks: swar::identity_ranks(sets, config.ways),
+            dirty: vec![0; sets],
             set_mask: sets as u64 - 1,
             set_bits: (sets as u64).trailing_zeros(),
             stats: CacheStats::default(),
@@ -158,29 +160,36 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// First way of `line`'s set, its set index and its probe key.
+    /// Set index of `line` and its probe key.
     #[inline(always)]
-    fn locate(&self, line: CacheLine, ways: usize) -> (usize, u64, u32) {
+    fn locate(&self, line: CacheLine) -> (usize, u32) {
         let set = line.index() & self.set_mask;
         let tag = line.index() >> self.set_bits;
         debug_assert!(tag <= MAX_TAG, "line {line:?} exceeds the 31-bit tag");
-        (set as usize * ways, set, KEY_VALID | tag as u32)
+        (set as usize, KEY_VALID | tag as u32)
     }
 
     /// Probes for `line`; on hit, refreshes LRU and applies `dirty`.
     /// Does **not** allocate on miss — pair with [`fill`](Self::fill).
     #[inline]
     pub fn probe(&mut self, line: CacheLine, dirty: bool) -> bool {
-        with_ways!(self.config.ways, ways => self.probe_in(ways, line, dirty))
+        with_ways!(self.config.ways, ways => {
+            let (set, key) = self.locate(line);
+            self.lookup(ways, set, key, dirty)
+        })
     }
 
+    /// Hit-or-miss half of a probe: on a hit, moves the way to the front
+    /// and ORs in `dirty`; counts the hit or miss.
     #[inline(always)]
-    fn probe_in(&mut self, ways: usize, line: CacheLine, dirty: bool) -> bool {
-        let (base, _, key) = self.locate(line, ways);
-        let (hit, _) = swar::scan_set(&self.keys[base..base + ways], key);
-        match hit {
-            Some(way) => {
-                self.hit(base, ways, way, dirty);
+    fn lookup(&mut self, ways: usize, set: usize, key: u32, dirty: bool) -> bool {
+        let keys = &mut self.keys[set * ways..set * ways + ways];
+        match swar::find(keys, key) {
+            Some(pos) => {
+                swar::move_to_front(keys, pos);
+                let flags = &mut self.dirty[set];
+                *flags = swar::flags_to_front(*flags, pos) | u64::from(dirty);
+                self.stats.hits += 1;
                 true
             }
             None => {
@@ -190,86 +199,60 @@ impl SetAssocCache {
         }
     }
 
-    /// Hit tail: moves the way to most recently used and ORs in `dirty`.
-    #[inline(always)]
-    fn hit(&mut self, base: usize, ways: usize, way: usize, dirty: bool) {
-        let ranks = &mut self.ranks[base..base + ways];
-        let flag = (ranks[way] & RANK_DIRTY) | if dirty { RANK_DIRTY } else { 0 };
-        swar::touch(ranks, way, flag);
-        self.stats.hits += 1;
-    }
-
     /// Inserts `line` (after a miss), evicting the LRU way of its set.
     /// Returns the dirty victim, if any.
     #[inline]
     pub fn fill(&mut self, line: CacheLine, dirty: bool) -> Option<CacheLine> {
         with_ways!(self.config.ways, ways => {
-            let (base, set, key) = self.locate(line, ways);
-            let (_, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
-            self.replace(base, ways, set, invalid, key, dirty)
+            let (set, key) = self.locate(line);
+            self.replace(ways, set, key, dirty)
         })
     }
 
-    /// Shared fill tail: picks the victim (first invalid way, else LRU),
-    /// evicts it (counting a dirty writeback and reconstructing its line
-    /// address) and installs `key` as the most recently used way.
+    /// Shared fill tail: drops the last way of the set (an invalid way
+    /// if the set has one, else the least recently used), counting a
+    /// dirty writeback and reconstructing its line address, and installs
+    /// `key` at the front.
     #[inline(always)]
-    fn replace(
-        &mut self,
-        base: usize,
-        ways: usize,
-        set: u64,
-        invalid: u64,
-        key: u32,
-        dirty: bool,
-    ) -> Option<CacheLine> {
-        let ranks = &mut self.ranks[base..base + ways];
-        let way = swar::victim(invalid, ranks);
-        let evicted = if ranks[way] & RANK_DIRTY != 0 {
+    fn replace(&mut self, ways: usize, set: usize, key: u32, dirty: bool) -> Option<CacheLine> {
+        let victim = swar::insert_front(&mut self.keys[set * ways..set * ways + ways], key);
+        let flags = &mut self.dirty[set];
+        let victim_dirty = *flags >> (ways - 1) & 1 != 0;
+        *flags = (swar::flags_to_front(*flags, ways - 1) & !1) | u64::from(dirty);
+        victim_dirty.then(|| {
             self.stats.writebacks += 1;
-            let tag = u64::from(self.keys[base + way] & !KEY_VALID);
-            Some(CacheLine::new((tag << self.set_bits) | set))
-        } else {
-            None
-        };
-        swar::touch(ranks, way, if dirty { RANK_DIRTY } else { 0 });
-        self.keys[base + way] = key;
-        evicted
+            let tag = u64::from(victim & !KEY_VALID);
+            CacheLine::new((tag << self.set_bits) | set as u64)
+        })
     }
 
     /// Fused probe-or-fill: identical to `probe` followed (on miss) by
-    /// `fill` — same stats, same victim — but the key lane is swept
-    /// once, yielding the hit way and the invalid-way mask together.
+    /// `fill` — same stats, same victim — without a second dispatch.
     #[inline]
     pub fn access(&mut self, line: CacheLine, dirty: bool) -> LevelOutcome {
-        with_ways!(self.config.ways, ways => self.access_in(ways, line, dirty))
-    }
-
-    #[inline(always)]
-    fn access_in(&mut self, ways: usize, line: CacheLine, dirty: bool) -> LevelOutcome {
-        let (base, set, key) = self.locate(line, ways);
-        let (hit, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
-        if let Some(way) = hit {
-            self.hit(base, ways, way, dirty);
-            return LevelOutcome { hit: true, writeback: None };
-        }
-        self.stats.misses += 1;
-        let writeback = self.replace(base, ways, set, invalid, key, dirty);
-        LevelOutcome { hit: false, writeback }
+        with_ways!(self.config.ways, ways => {
+            let (set, key) = self.locate(line);
+            if self.lookup(ways, set, key, dirty) {
+                return LevelOutcome { hit: true, writeback: None };
+            }
+            LevelOutcome { hit: false, writeback: self.replace(ways, set, key, dirty) }
+        })
     }
 
     /// Invalidates `line` if present; returns `true` if it was dirty.
-    /// The way keeps its rank, so the set's ranks stay a permutation.
+    /// The way leaves the set's recency order and the freed slot goes
+    /// to the back, where the next fill of the set takes it.
     pub fn invalidate(&mut self, line: CacheLine) -> bool {
         let ways = self.config.ways;
-        let (base, _, key) = self.locate(line, ways);
-        let Some(way) = swar::scan_set(&self.keys[base..base + ways], key).0 else {
+        let (set, key) = self.locate(line);
+        let keys = &mut self.keys[set * ways..set * ways + ways];
+        let Some(pos) = swar::find(keys, key) else {
             return false;
         };
-        let rank = &mut self.ranks[base + way];
-        let was_dirty = *rank & RANK_DIRTY != 0;
-        *rank &= !RANK_DIRTY;
-        self.keys[base + way] = 0;
+        swar::remove(keys, pos);
+        let flags = &mut self.dirty[set];
+        let was_dirty = *flags >> pos & 1 != 0;
+        *flags = swar::flags_remove(*flags, pos);
         was_dirty
     }
 
@@ -286,27 +269,26 @@ impl SetAssocCache {
     /// Serialises the tag array, packed metadata words and counters for a
     /// machine snapshot.
     ///
-    /// The wire format predates the rank lane: one word per way with
-    /// valid (bit 63) | dirty (bit 62) | recency stamp, plus a `tick`
-    /// above every stamp. Stamps are written as `ways - rank` with
-    /// `tick = ways`, which orders ways exactly as the per-access ticks
-    /// this format once carried did.
+    /// The wire format predates recency-ordered sets: one word per way
+    /// with valid (bit 63) | dirty (bit 62) | recency stamp, plus a
+    /// `tick` above every stamp. Ways are written in recency order with
+    /// stamps `ways - position` and `tick = ways`, which orders them
+    /// exactly as the per-access ticks this format once carried did.
     pub fn snapshot(&self) -> Json {
+        let ways = self.config.ways;
         let tags: Vec<u64> = self.keys.iter().map(|k| u64::from(k & !KEY_VALID)).collect();
         let mut metas = Vec::with_capacity(self.keys.len());
-        for (keys, ranks) in
-            self.keys.chunks_exact(self.config.ways).zip(self.ranks.chunks_exact(self.config.ways))
-        {
-            for ((k, r), stamp) in keys.iter().zip(ranks).zip(swar::stamps(ranks)) {
+        for (keys, flags) in self.keys.chunks_exact(ways).zip(&self.dirty) {
+            for (pos, k) in keys.iter().enumerate() {
                 let valid = if k & KEY_VALID != 0 { META_VALID } else { 0 };
-                let dirty = if r & RANK_DIRTY != 0 { META_DIRTY } else { 0 };
-                metas.push(valid | dirty | stamp);
+                let dirty = if flags >> pos & 1 != 0 { META_DIRTY } else { 0 };
+                metas.push(valid | dirty | (ways - pos) as u64);
             }
         }
         Json::obj([
             ("tags", Json::Str(hex_from_u64s(&tags))),
             ("metas", Json::Str(hex_from_u64s(&metas))),
-            ("tick", Json::U64(self.config.ways as u64)),
+            ("tick", Json::U64(ways as u64)),
             ("hits", Json::U64(self.stats.hits)),
             ("misses", Json::U64(self.stats.misses)),
             ("writebacks", Json::U64(self.stats.writebacks)),
@@ -314,9 +296,11 @@ impl SetAssocCache {
     }
 
     /// Restores [`SetAssocCache::snapshot`] state onto a cache with the
-    /// same geometry. Each set's ranks follow its stamps in descending
-    /// order, ties going to the later way, so snapshots whose stamps are
-    /// sparse per-access ticks restore to the same replacement order.
+    /// same geometry. Each set's valid ways are ordered by descending
+    /// stamp, ties going to the later way, and its invalid ways go last,
+    /// so snapshots whose stamps are sparse per-access ticks, or whose
+    /// ways are not in recency order, restore to the same replacement
+    /// order.
     ///
     /// # Errors
     ///
@@ -345,17 +329,18 @@ impl SetAssocCache {
             writebacks: snap.req_u64("writebacks")?,
         };
         let ways = self.config.ways;
-        let mut stamps = vec![0; ways];
-        for (set, ranks) in self.ranks.chunks_exact_mut(ways).enumerate() {
-            for (i, stamp) in stamps.iter_mut().enumerate() {
-                let (tag, meta) = (tags[set * ways + i], metas[set * ways + i]);
-                let valid = meta & META_VALID != 0;
-                self.keys[set * ways + i] = tag as u32 | if valid { KEY_VALID } else { 0 };
-                // Only valid ways may be dirty.
-                ranks[i] = if valid && meta & META_DIRTY != 0 { RANK_DIRTY } else { 0 };
-                *stamp = meta & META_STAMP_MASK;
+        for (set, (keys, flags)) in
+            self.keys.chunks_exact_mut(ways).zip(&mut self.dirty).enumerate()
+        {
+            let (tags, metas) = (&tags[set * ways..][..ways], &metas[set * ways..][..ways]);
+            let stamps: Vec<u64> = metas.iter().map(|m| m & META_STAMP_MASK).collect();
+            let order = swar::recency_order(&stamps, |i| metas[i] & META_VALID != 0);
+            keys.fill(0);
+            *flags = 0;
+            for (pos, &i) in order.iter().enumerate() {
+                keys[pos] = KEY_VALID | tags[i] as u32;
+                *flags |= u64::from(metas[i] & META_DIRTY != 0) << pos;
             }
-            swar::ranks_from_stamps(&stamps, ranks);
         }
         Ok(())
     }

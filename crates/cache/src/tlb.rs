@@ -104,10 +104,10 @@ impl TlbStats {
 
 /// A set-associative, LRU TLB over virtual pages.
 ///
-/// Entries are structure-of-arrays: a `u32` key lane (`valid | vpn`, so
-/// the lookup scan compares one contiguous word per way) and a `u8`
-/// recency-rank lane (a permutation of `0..ways` per set, 0 = most
-/// recently used), the same layout and kernels as the caches.
+/// Each set is a contiguous run of `u32` keys (`valid | vpn`, so the
+/// lookup compares one word per way) kept in recency order — most
+/// recently used first, invalid entries last — the same layout and
+/// kernels as the caches, without the dirty mask.
 ///
 /// ```
 /// use neomem_cache::{Tlb, TlbConfig};
@@ -120,11 +120,9 @@ impl TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// `KEY_VALID | vpn` per entry; `0` (or any word without the valid
-    /// bit) never matches a lookup key.
+    /// `KEY_VALID | vpn` per entry, each set in recency order; invalid
+    /// entries are `0` and never match a lookup key.
     keys: Vec<u32>,
-    /// Recency ranks, parallel to `keys`.
-    ranks: Vec<u8>,
     set_mask: u64,
     stats: TlbStats,
 }
@@ -142,7 +140,6 @@ impl Tlb {
         Self {
             config,
             keys: vec![0; config.entries],
-            ranks: swar::identity_ranks(sets, config.ways),
             set_mask: sets as u64 - 1,
             stats: TlbStats::default(),
         }
@@ -159,39 +156,35 @@ impl Tlb {
     /// Looks up `vpage`, filling the entry on miss. Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, vpage: VirtPage) -> bool {
-        with_ways!(self.config.ways, ways => self.access_in(ways, vpage))
-    }
-
-    #[inline(always)]
-    fn access_in(&mut self, ways: usize, vpage: VirtPage) -> bool {
-        let (base, key) = self.locate(vpage, ways);
-        let (hit, invalid) = swar::scan_set(&self.keys[base..base + ways], key);
-        let ranks = &mut self.ranks[base..base + ways];
-        let way = match hit {
-            Some(way) => {
-                self.stats.hits += 1;
-                way
+        with_ways!(self.config.ways, ways => {
+            let (base, key) = self.locate(vpage, ways);
+            let keys = &mut self.keys[base..base + ways];
+            match swar::find(keys, key) {
+                Some(pos) => {
+                    swar::move_to_front(keys, pos);
+                    self.stats.hits += 1;
+                    true
+                }
+                None => {
+                    swar::insert_front(keys, key);
+                    self.stats.misses += 1;
+                    false
+                }
             }
-            None => {
-                self.stats.misses += 1;
-                let way = swar::victim(invalid, ranks);
-                self.keys[base + way] = key;
-                way
-            }
-        };
-        swar::touch(ranks, way, 0);
-        hit.is_some()
+        })
     }
 
     /// Invalidates `vpage` (one shootdown), returning whether it was
-    /// present. The entry keeps its rank.
+    /// present. The entry leaves the set's recency order and the freed
+    /// slot goes to the back, where the next fill of the set takes it.
     pub fn shootdown(&mut self, vpage: VirtPage) -> bool {
         let ways = self.config.ways;
         let (base, key) = self.locate(vpage, ways);
-        let Some(way) = swar::scan_set(&self.keys[base..base + ways], key).0 else {
+        let keys = &mut self.keys[base..base + ways];
+        let Some(pos) = swar::find(keys, key) else {
             return false;
         };
-        self.keys[base + way] = 0;
+        swar::remove(keys, pos);
         self.stats.shootdowns += 1;
         true
     }
@@ -218,9 +211,11 @@ impl Tlb {
 
     /// Serialises the translation entries, recency stamps and counters
     /// for a machine snapshot. Validity is packed as a bitmask word
-    /// array; stamps are written as `ways - rank` with `tick = ways`, the
-    /// same wire format as the cache levels.
+    /// array; entries are written in recency order with stamps
+    /// `ways - position` and `tick = ways`, the same wire format as the
+    /// cache levels.
     pub fn snapshot(&self) -> Json {
+        let ways = self.config.ways;
         let vpns: Vec<u64> = self.keys.iter().map(|k| u64::from(k & !KEY_VALID)).collect();
         let mut valid = vec![0u64; self.keys.len().div_ceil(64)];
         for (i, k) in self.keys.iter().enumerate() {
@@ -228,13 +223,12 @@ impl Tlb {
                 valid[i / 64] |= 1 << (i % 64);
             }
         }
-        let last_uses: Vec<u64> =
-            self.ranks.chunks_exact(self.config.ways).flat_map(swar::stamps).collect();
+        let last_uses: Vec<u64> = (0..self.keys.len()).map(|i| (ways - i % ways) as u64).collect();
         Json::obj([
             ("vpns", Json::Str(hex_from_u64s(&vpns))),
             ("last_uses", Json::Str(hex_from_u64s(&last_uses))),
             ("valid", Json::Str(hex_from_u64s(&valid))),
-            ("tick", Json::U64(self.config.ways as u64)),
+            ("tick", Json::U64(ways as u64)),
             ("hits", Json::U64(self.stats.hits)),
             ("misses", Json::U64(self.stats.misses)),
             ("shootdowns", Json::U64(self.stats.shootdowns)),
@@ -242,7 +236,7 @@ impl Tlb {
     }
 
     /// Restores [`Tlb::snapshot`] state onto a TLB with the same
-    /// geometry, rebuilding each set's ranks from its stamps as
+    /// geometry, ordering each set by its stamps as
     /// [`crate::SetAssocCache::restore`] does.
     ///
     /// # Errors
@@ -273,13 +267,15 @@ impl Tlb {
             misses: snap.req_u64("misses")?,
             shootdowns: snap.req_u64("shootdowns")?,
         };
-        for (i, (key, vpn)) in self.keys.iter_mut().zip(&vpns).enumerate() {
-            let is_valid = (valid[i / 64] >> (i % 64)) & 1 == 1;
-            *key = *vpn as u32 | if is_valid { KEY_VALID } else { 0 };
-        }
         let ways = self.config.ways;
-        for (ranks, stamps) in self.ranks.chunks_exact_mut(ways).zip(last_uses.chunks_exact(ways)) {
-            swar::ranks_from_stamps(stamps, ranks);
+        for (set, keys) in self.keys.chunks_exact_mut(ways).enumerate() {
+            let base = set * ways;
+            let is_valid = |i: usize| (valid[(base + i) / 64] >> ((base + i) % 64)) & 1 == 1;
+            let order = swar::recency_order(&last_uses[base..base + ways], is_valid);
+            keys.fill(0);
+            for (key, &i) in keys.iter_mut().zip(&order) {
+                *key = KEY_VALID | vpns[base + i] as u32;
+            }
         }
         Ok(())
     }

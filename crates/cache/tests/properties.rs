@@ -137,11 +137,11 @@ const MODEL_WAYS: [usize; 10] = [1, 2, 3, 4, 6, 8, 12, 16, 32, 64];
 /// streams keep revisiting and evicting within each set.
 const MODEL_SETS: usize = 4;
 
-/// The replacement semantics the rank lanes must reproduce, kept naive
-/// as the oracle: a `u64` tick bumped on every probe and fill and
-/// stamped on the way a hit or fill touches; the fill victim is the
-/// first invalid way, else the strict-less minimum stamp (the earliest
-/// way on ties). Its state is exactly what the older `u64`-stamp
+/// The replacement semantics the recency-ordered sets must reproduce,
+/// kept naive as the oracle: a `u64` tick bumped on every probe and
+/// fill and stamped on the way a hit or fill touches; the fill victim
+/// is the first invalid way, else the strict-less minimum stamp (the
+/// earliest way on ties). Its state is exactly what the older `u64`-stamp
 /// snapshots carried, so it also writes them.
 struct RefCache {
     ways: usize,
@@ -155,6 +155,20 @@ struct RefCache {
 
 /// `MODEL_SETS` = 4 sets, so a line's set is its low two bits.
 const MODEL_SET_BITS: u32 = 2;
+
+/// Per set, the way indices of the resident entries in recency order:
+/// valid ways by descending stamp, ties to the later way (the earlier
+/// one is what the min-scan evicts first).
+fn recency_order(valid: &[bool], stamps: &[u64], ways: usize) -> Vec<Vec<usize>> {
+    (0..valid.len() / ways)
+        .map(|set| {
+            let mut order: Vec<usize> =
+                (set * ways..set * ways + ways).filter(|&i| valid[i]).collect();
+            order.sort_unstable_by_key(|&i| std::cmp::Reverse((stamps[i], i)));
+            order
+        })
+        .collect()
+}
 
 fn lru_victim(valid: &[bool], stamps: &[u64]) -> usize {
     if let Some(i) = valid.iter().position(|v| !v) {
@@ -260,17 +274,26 @@ impl RefCache {
         ])
     }
 
-    /// Which tag each way holds, by way index.
-    fn layout(&self) -> Vec<Option<u64>> {
-        (0..self.valid.len()).map(|i| self.valid[i].then_some(self.tags[i])).collect()
+    /// Per set, the resident `(tag, dirty)` pairs, most recent first.
+    fn recency(&self) -> Vec<Vec<(u64, bool)>> {
+        recency_order(&self.valid, &self.stamps, self.ways)
+            .into_iter()
+            .map(|set| set.into_iter().map(|i| (self.tags[i], self.dirty[i])).collect())
+            .collect()
     }
 }
 
-fn cache_layout(cache: &SetAssocCache) -> Vec<Option<u64>> {
+/// [`RefCache::recency`] read from the cache's own snapshot.
+fn cache_recency(cache: &SetAssocCache) -> Vec<Vec<(u64, bool)>> {
     let snap = cache.snapshot();
     let tags = snap.req_u64s("tags").unwrap();
     let metas = snap.req_u64s("metas").unwrap();
-    tags.iter().zip(&metas).map(|(t, m)| (m >> 63 == 1).then_some(*t)).collect()
+    let valid: Vec<bool> = metas.iter().map(|m| m >> 63 == 1).collect();
+    let stamps: Vec<u64> = metas.iter().map(|m| m & !(3 << 62)).collect();
+    recency_order(&valid, &stamps, cache.config().ways)
+        .into_iter()
+        .map(|set| set.into_iter().map(|i| (tags[i], metas[i] >> 62 & 1 == 1)).collect())
+        .collect()
 }
 
 /// The TLB twin of [`RefCache`].
@@ -353,18 +376,25 @@ impl RefTlb {
         ])
     }
 
-    fn layout(&self) -> Vec<Option<u64>> {
-        (0..self.valid.len()).map(|i| self.valid[i].then_some(self.vpns[i])).collect()
+    /// Per set, the resident VPNs, most recent first.
+    fn recency(&self) -> Vec<Vec<u64>> {
+        recency_order(&self.valid, &self.stamps, self.ways)
+            .into_iter()
+            .map(|set| set.into_iter().map(|i| self.vpns[i]).collect())
+            .collect()
     }
 }
 
-fn tlb_layout(tlb: &Tlb) -> Vec<Option<u64>> {
+/// [`RefTlb::recency`] read from the TLB's own snapshot.
+fn tlb_recency(tlb: &Tlb) -> Vec<Vec<u64>> {
     let snap = tlb.snapshot();
     let vpns = snap.req_u64s("vpns").unwrap();
-    let valid = snap.req_u64s("valid").unwrap();
-    vpns.iter()
-        .enumerate()
-        .map(|(i, v)| (valid[i / 64] >> (i % 64) & 1 == 1).then_some(*v))
+    let stamps = snap.req_u64s("last_uses").unwrap();
+    let words = snap.req_u64s("valid").unwrap();
+    let valid: Vec<bool> = (0..vpns.len()).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect();
+    recency_order(&valid, &stamps, tlb.config().ways)
+        .into_iter()
+        .map(|set| set.into_iter().map(|i| vpns[i]).collect())
         .collect()
 }
 
@@ -375,11 +405,12 @@ proptest! {
         ..ProptestConfig::default()
     })]
     /// `SetAssocCache` makes exactly the reference model's decisions —
-    /// hit flags, victims (the per-way tag layout), writebacks,
-    /// invalidations and counters — at every associativity. At step
-    /// `cut` the cache's own snapshot and the model's `u64`-stamp
-    /// snapshot are restored into fresh caches, and all of them
-    /// continue in lockstep with the model.
+    /// hit flags, victims, writebacks, invalidations and counters — and
+    /// keeps the same resident lines, dirty flags and recency order per
+    /// set, at every associativity. At step `cut` the cache's own
+    /// snapshot and the model's `u64`-stamp snapshot are restored into
+    /// fresh caches, and all of them continue in lockstep with the
+    /// model.
     #[test]
     fn cache_matches_the_tick_stamp_reference(
         ops in prop::collection::vec((0u8..12, 0u64..1 << 20, prop::bool::ANY), 1..300),
@@ -435,7 +466,7 @@ proptest! {
                 }
                 if step % 8 == 0 || step + 1 == ops.len() {
                     for c in &caches {
-                        prop_assert_eq!(cache_layout(c), model.layout(), "{} ways step {}", ways, step);
+                        prop_assert_eq!(cache_recency(c), model.recency(), "{} ways step {}", ways, step);
                         prop_assert_eq!(c.stats(), model.stats, "{} ways step {}", ways, step);
                     }
                 }
@@ -487,7 +518,7 @@ proptest! {
                 }
                 if step % 8 == 0 || step + 1 == ops.len() {
                     for t in &tlbs {
-                        prop_assert_eq!(tlb_layout(t), model.layout(), "{} ways step {}", ways, step);
+                        prop_assert_eq!(tlb_recency(t), model.recency(), "{} ways step {}", ways, step);
                         prop_assert_eq!(t.stats(), model.stats, "{} ways step {}", ways, step);
                     }
                 }

@@ -2,9 +2,10 @@
 //! a live snapshot into an older form and must resume bit-identically to
 //! a straight run:
 //!
-//! - before the caches and TLB kept recency ranks, per-way recency
-//!   stamps were sparse per-access ticks (unique within a level, invalid
-//!   ways stamped 0, `tick` above every stamp) rather than `ways - rank`;
+//! - before the caches and TLB kept their sets in recency order (and,
+//!   before that, recency ranks), per-way recency stamps were sparse
+//!   per-access ticks (unique within a level, invalid ways stamped 0,
+//!   `tick` above every stamp) rather than `ways - position`;
 //! - schema version 2 also carried the kernel's `arbitrary_cursor`, the
 //!   sketch's `eager_clear` and the hot-page detector's `bloom`, and
 //!   numbered LRU tickets in enqueue order rather than by list position;
@@ -38,7 +39,7 @@ fn set_field(obj: &mut Json, key: &str, value: Json) {
     *field_mut(obj, key) = value;
 }
 
-/// Turns one structure's `ways - rank` stamps into the older per-access
+/// Turns one structure's `ways - position` stamps into the older per-access
 /// ticks: within each set the recency order is kept, valid ways get
 /// ticks unique across the structure with gaps between them, invalid
 /// ways get 0, and the returned `tick` lies above every stamp.
@@ -67,7 +68,7 @@ fn legacify(snap: &mut Json) -> usize {
     if !is_cache && !is_tlb {
         return rewritten;
     }
-    // Snapshots of the rank lanes carry `tick = ways`.
+    // Snapshots of recency-ordered sets carry `tick = ways`.
     let ways = snap.req_u64("tick").expect("tick") as usize;
     if is_cache {
         let metas = snap.req_u64s("metas").expect("metas");
